@@ -55,7 +55,6 @@ from .gen import (
 )
 from .grid import (
     BinaryGrid,
-    grid_from_points,
     grid_from_rows,
     neighbors,
     pad_background,

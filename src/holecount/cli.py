@@ -14,8 +14,8 @@ import time
 import numpy as np
 
 from . import corners, curves, gen, grid, holes, solid3d
-from .errors import HolecountError, ParseError
-from .labeling import label_mask
+from .errors import HolecountError
+from .labeling import label_components, label_mask
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -29,20 +29,25 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _parse_grid(data: bytes, fmt: str | None) -> grid.BinaryGrid:
+def _read_grid(args) -> grid.BinaryGrid:
+    data = _read_input(args.input)
+    fmt = args.format
     if fmt is None:
         fmt = "pbm" if data.lstrip().startswith(b"P1") else "ascii01"
     return grid.parse_image(data, "pbm_p1" if fmt == "pbm" else "ascii01")
 
 
+def _ints(text: str, sep: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(sep)]
+    except ValueError:
+        raise HolecountError(f"expected integers separated by {sep!r}, got {text!r}") from None
+
+
 def render_annotations(g: grid.BinaryGrid, reports) -> str:
     """Digit overlay in the style of the worked example: 2/4 corner classes,
     1 for other component points, 0 for background."""
-    canvas = [["0"] * g.width for _ in range(g.height)]
-    for r in range(g.height):
-        for c in range(g.width):
-            if g.cells[r, c]:
-                canvas[r][c] = "1"
+    canvas = [["1" if v else "0" for v in row] for row in g.cells.tolist()]
     for rep in reports:
         for (r, c), k in rep.classification.classes.items():
             if k in (2, 4):
@@ -51,11 +56,7 @@ def render_annotations(g: grid.BinaryGrid, reports) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        g = _parse_grid(_read_input(args.input), args.format)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _read_grid(args)
     reports = holes.analyze_image(
         g, run_oracle=args.oracle == "on", run_validation=args.validate == "on"
     )
@@ -77,122 +78,105 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_curves(args) -> int:
-    try:
-        g = _parse_grid(_read_input(args.input), args.format)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    from .labeling import label_components
-
+def _each_valid_component(args, entry_of) -> int:
+    """Print `entry_of(g, cid, ctx) -> (entry, holds)` of every component as
+    JSON. Stops with EXIT_INPUT at the first invalid component, naming its
+    reasons; exits EXIT_DISAGREEMENT when some entry's identities fail."""
+    g = _read_grid(args)
     labels = label_components(g, "foreground")
-    out = []
+    out, all_hold = [], True
     for cid in range(1, labels.component_count + 1):
-        mask = labels.mask_of(cid)
-        validity = corners.validate_component(g, mask)
+        ctx = corners.ComponentContext.of_label(labels, cid)
+        validity = corners.validate_component(g, ctx)
         if not validity.valid:
             for kind, p in validity.reasons:
                 print(f"component {cid} invalid: {kind} at {p}", file=sys.stderr)
             return EXIT_INPUT
-        contours = curves.trace_contours(g, mask)
-        acct = curves.second_proof_accounting(g, mask)
-        entry = {
-            "component_id": cid,
-            "contours": [],
-            "accounting": {"lhs": acct.lhs, "rhs": acct.rhs, "holds": acct.holds},
-        }
-        for ct, cc in zip(contours, acct.curve_censuses):
-            if ct.kind == curves.OUTER:
-                lemma = cc.cp2 - cc.cp4 == 4
-            else:
-                lemma = cc.cp4 - cc.cp2 == 4
-            entry["contours"].append(
-                {
-                    "kind": ct.kind,
-                    "points": [list(p) for p in ct.points],
-                    "cp2": cc.cp2,
-                    "cp3": cc.cp3,
-                    "cp4": cc.cp4,
-                    "lemma_holds": lemma,
-                }
-            )
-        out.append(entry)
-    print(json.dumps(out, indent=2))
-    return EXIT_OK
-
-
-def cmd_genus3d(args) -> int:
-    try:
-        g = _parse_grid(_read_input(args.input), args.format)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    from .labeling import label_components
-
-    labels = label_components(g, "foreground")
-    out = []
-    for cid in range(1, labels.component_count + 1):
-        mask = labels.mask_of(cid)
-        validity = corners.validate_component(g, mask)
-        if not validity.valid:
-            for kind, p in validity.reasons:
-                print(f"component {cid} invalid: {kind} at {p}", file=sys.stderr)
-            return EXIT_INPUT
-        census2d = corners.classify_corners(g, mask).census
         try:
-            solid = solid3d.double_component(g, mask)
-            sc = solid3d.extract_surface(solid)
-            census = solid3d.classify_surface_points(sc)
-            g_formula = solid3d.genus_by_formula(census)
-            g_euler = solid3d.euler_genus_oracle(sc)
+            entry, holds = entry_of(g, cid, ctx)
         except HolecountError as exc:
             print(f"component {cid}: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        h_formula = holes.holes_by_formula(census2d)
-        checks = {
-            "m6_zero": census.m6 == 0,
-            "m3_eq_2c2": census.m3 == 2 * census2d.c2,
-            "m5_eq_2c4": census.m5 == 2 * census2d.c4,
-            "genus_eq_holes": g_formula == h_formula,
-            "genus_eq_euler": g_formula == g_euler,
-        }
-        if g_formula == 0:
-            checks["simply_connected_identity"] = (
-                solid3d.check_simply_connected_identity(census)
-            )
-        out.append(
+        out.append(entry)
+        all_hold = all_hold and holds
+    print(json.dumps(out, indent=2))
+    return EXIT_OK if all_hold else EXIT_DISAGREEMENT
+
+
+def _curves_entry(g, cid, ctx) -> tuple[dict, bool]:
+    acct = curves.second_proof_accounting(g, ctx)
+    entry = {
+        "component_id": cid,
+        "contours": [],
+        "accounting": {"lhs": acct.lhs, "rhs": acct.rhs, "holds": acct.holds},
+    }
+    for ct, cc in zip(ctx.contours, acct.curve_censuses):
+        lemma = (cc.cp2 - cc.cp4 if ct.kind == curves.OUTER else cc.cp4 - cc.cp2) == 4
+        entry["contours"].append(
             {
-                "component_id": cid,
-                "m3": census.m3,
-                "m4": census.m4,
-                "m5": census.m5,
-                "m6": census.m6,
-                "genus_formula": g_formula,
-                "euler_genus_oracle": g_euler,
-                "checks": checks,
+                "kind": ct.kind,
+                "points": [list(p) for p in ct.points],
+                "cp2": cc.cp2,
+                "cp3": cc.cp3,
+                "cp4": cc.cp4,
+                "lemma_holds": lemma,
             }
         )
-    print(json.dumps(out, indent=2))
-    return EXIT_OK
+    holds = acct.holds and all(c["lemma_holds"] for c in entry["contours"])
+    return entry, holds
+
+
+def _genus3d_entry(g, cid, ctx) -> tuple[dict, bool]:
+    census2d = ctx.census
+    sc = solid3d.extract_surface(solid3d.double_component(g, ctx))
+    census = solid3d.classify_surface_points(sc)
+    g_formula = solid3d.genus_by_formula(census)
+    g_euler = solid3d.euler_genus_oracle(sc)
+    checks = {
+        "m6_zero": census.m6 == 0,
+        "m3_eq_2c2": census.m3 == 2 * census2d.c2,
+        "m5_eq_2c4": census.m5 == 2 * census2d.c4,
+        "genus_eq_holes": g_formula == holes.holes_by_formula(census2d),
+        "genus_eq_euler": g_formula == g_euler,
+    }
+    if g_formula == 0:
+        checks["simply_connected_identity"] = solid3d.check_simply_connected_identity(census)
+    entry = {
+        "component_id": cid,
+        "m3": census.m3,
+        "m4": census.m4,
+        "m5": census.m5,
+        "m6": census.m6,
+        "genus_formula": g_formula,
+        "euler_genus_oracle": g_euler,
+        "checks": checks,
+    }
+    return entry, all(checks.values())
+
+
+def cmd_curves(args) -> int:
+    return _each_valid_component(args, _curves_entry)
+
+
+def cmd_genus3d(args) -> int:
+    return _each_valid_component(args, _genus3d_entry)
 
 
 def cmd_gen(args) -> int:
-    h, w = (int(v) for v in args.dims.lower().split("x"))
-    try:
-        if args.kind == "rect_with_holes":
-            spec = gen.random_rect_spec(args.seed, (h, w), args.holes)
-            g = gen.gen_rect_with_holes(spec)
-        else:
-            spec = gen.ShapeSpec(
-                kind=gen.RANDOM_BLOB,
-                dims=(h, w),
-                seed=args.seed,
-                target_area=args.area,
-            )
-            g = gen.gen_random_blob(spec)
-    except HolecountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    dims = _ints(args.dims.lower(), "x")
+    if len(dims) != 2:
+        raise HolecountError(f"--dims must be HxW, got {args.dims!r}")
+    if args.kind == "rect_with_holes":
+        spec = gen.random_rect_spec(args.seed, tuple(dims), args.holes)
+        g = gen.gen_rect_with_holes(spec)
+    else:
+        spec = gen.ShapeSpec(
+            kind=gen.RANDOM_BLOB,
+            dims=tuple(dims),
+            seed=args.seed,
+            target_area=args.area,
+        )
+        g = gen.gen_random_blob(spec)
     if args.format == "pbm":
         sys.stdout.write(grid.to_pbm_p1(g))
     else:
@@ -234,7 +218,9 @@ def oracle_path(g: grid.BinaryGrid) -> tuple[int, int]:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _ints(args.sizes, ",")
+    if args.reps < 1:
+        raise HolecountError(f"--reps must be at least 1, got {args.reps}")
     rows = []
     for size in sizes:
         spec = gen.random_rect_spec(args.seed, (size, size), min(5, size // 8))
@@ -332,7 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, HolecountError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -10,11 +10,14 @@ corner. Classes 0 and 1 are degenerate and make the component invalid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import ndimage
 
-from .errors import EmptyComponentError
+from .errors import ContourOverlapError, EmptyComponentError
 from .grid import BinaryGrid, DIRECT_OFFSETS, DIAGONAL_OFFSETS, Point2
+from .labeling import label_mask
 
 ISOLATED_OR_THIN_POINT = "isolated_or_thin_point"
 PATHOLOGICAL_WINDOW = "pathological_window"
@@ -73,10 +76,7 @@ def component_mask(g: BinaryGrid, component) -> np.ndarray:
             raise ValueError("component mask shape mismatch")
         return component.astype(bool)
     mask = np.zeros(g.cells.shape, dtype=bool)
-    if len(component) == 0:
-        return mask
-    pts = np.array(sorted(component), dtype=int)
-    mask[pts[:, 0], pts[:, 1]] = True
+    mask[tuple(np.array(list(component), dtype=np.intp).reshape(-1, 2).T)] = True
     return mask
 
 
@@ -85,9 +85,16 @@ def _shifted(padded: np.ndarray, dr: int, dc: int, shape) -> np.ndarray:
     return padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
 
 
+def _ringed(mask: np.ndarray) -> np.ndarray:
+    """The mask in a one-cell background ring; np.pad costs ~10x more here."""
+    out = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=mask.dtype)
+    out[1:-1, 1:-1] = mask
+    return out
+
+
 def neighbor_counts(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell counts of direct and of all 8 neighbors inside the mask."""
-    padded = np.pad(mask, 1, constant_values=False)
+    padded = _ringed(mask)
     direct = np.zeros(mask.shape, dtype=np.int8)
     for dr, dc in DIRECT_OFFSETS:
         direct += _shifted(padded, dr, dc, mask.shape)
@@ -97,18 +104,77 @@ def neighbor_counts(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return direct, full
 
 
-def boundary_mask(mask: np.ndarray) -> np.ndarray:
-    _, full = neighbor_counts(mask)
-    return mask & (full < 8)
+def _census(direct: np.ndarray, bnd: np.ndarray) -> CornerCensus:
+    k = np.bincount(direct[bnd], minlength=5)
+    return CornerCensus(
+        c2=int(k[2]), c3=int(k[3]), c4=int(k[4]), boundary_total=int(bnd.sum())
+    )
+
+
+class ComponentContext:
+    """One component cut out of its image, with the arrays its checks share.
+
+    `mask` is the bounding box `window` of the True cells of an image-sized
+    mask (found when not given), grown by a background ring; a position in
+    it plus `offset` is the image position. The neighbor counts, boundary
+    and complement labeling are each computed on first read, then shared by
+    the census, the validity checks, contour tracing, the hole oracle and
+    3D doubling. `curves.trace_contours` keeps its result in `contours`.
+    """
+
+    def __init__(self, mask: np.ndarray, window=None):
+        mask = np.asarray(mask, dtype=bool)
+        if window is None:
+            window = (ndimage.find_objects(mask.view(np.uint8)) or [(slice(0, 0),) * 2])[0]
+        self.image_shape = mask.shape
+        self.offset = (window[0].start - 1, window[1].start - 1)
+        self.mask = _ringed(mask[window])
+        self.area = int(self.mask.sum())
+        self.contours = None
+
+    @classmethod
+    def of(cls, g: BinaryGrid, component) -> "ComponentContext":
+        """Context of a point set or image-sized mask, or the context given."""
+        return component if isinstance(component, cls) else cls(component_mask(g, component))
+
+    @classmethod
+    def of_label(cls, labels, component_id: int) -> "ComponentContext":
+        """Context of one component of a `labeling.LabelMap`."""
+        return cls(labels.mask_of(component_id), labels.slices[component_id - 1])
+
+    @cached_property
+    def counts(self) -> tuple[np.ndarray, np.ndarray]:
+        return neighbor_counts(self.mask)
+
+    @cached_property
+    def boundary(self) -> np.ndarray:
+        return self.mask & (self.counts[1] < 8)
+
+    @cached_property
+    def thin(self) -> np.ndarray:
+        return self.boundary & (self.counts[0] < 2)
+
+    @cached_property
+    def complement(self) -> tuple[np.ndarray, int]:
+        """Labeled complement; thanks to the ring, region 1 is the unbounded one."""
+        return label_mask(~self.mask)
+
+    @cached_property
+    def census(self) -> CornerCensus:
+        return _census(self.counts[0], self.boundary)
+
+    def positions(self, cells: np.ndarray) -> list[Point2]:
+        """Image positions of the True cells of a crop-shaped array, row-major."""
+        rows, cols = np.nonzero(cells)
+        return list(zip((rows + self.offset[0]).tolist(), (cols + self.offset[1]).tolist()))
 
 
 def boundary_points(g: BinaryGrid, component) -> frozenset[Point2]:
     """Points of the component with some 8-neighbor position outside it."""
-    mask = component_mask(g, component)
-    if not mask.any():
+    ctx = ComponentContext.of(g, component)
+    if not ctx.area:
         raise EmptyComponentError("boundary of an empty component")
-    bnd = boundary_mask(mask)
-    return frozenset((int(r), int(c)) for r, c in np.argwhere(bnd))
+    return frozenset(ctx.positions(ctx.boundary))
 
 
 def classify_corners(g: BinaryGrid, component) -> CornerClassification:
@@ -118,27 +184,14 @@ def classify_corners(g: BinaryGrid, component) -> CornerClassification:
     component) are counted in boundary_total and listed separately rather
     than raised, so validity reporting can consume them.
     """
-    mask = component_mask(g, component)
-    if not mask.any():
+    ctx = ComponentContext.of(g, component)
+    if not ctx.area:
         raise EmptyComponentError("census of an empty component")
-    direct, full = neighbor_counts(mask)
-    bnd = mask & (full < 8)
-    classes = {}
-    degenerate = []
-    for r, c in np.argwhere(bnd):
-        p = (int(r), int(c))
-        k = int(direct[r, c])
-        classes[p] = k
-        if k < 2:
-            degenerate.append(p)
-    census = CornerCensus(
-        c2=int((bnd & (direct == 2)).sum()),
-        c3=int((bnd & (direct == 3)).sum()),
-        c4=int((bnd & (direct == 4)).sum()),
-        boundary_total=int(bnd.sum()),
-    )
+    classes = dict(zip(ctx.positions(ctx.boundary), ctx.counts[0][ctx.boundary].tolist()))
     return CornerClassification(
-        census=census, classes=classes, degenerate_points=tuple(sorted(degenerate))
+        census=ctx.census,
+        classes=classes,
+        degenerate_points=tuple(ctx.positions(ctx.thin)),
     )
 
 
@@ -148,31 +201,19 @@ def find_pathological(g: BinaryGrid, component) -> PathologyReport:
     A window is pathological when exactly its two main-diagonal or exactly
     its two anti-diagonal cells belong to the component. Windows are visited
     once each (the report records how many), over the component's bounding
-    box grown by one cell.
+    box grown by one cell and clipped to the image.
     """
-    mask = component_mask(g, component)
-    if not mask.any():
-        return PathologyReport(windows=(), clean=True, windows_scanned=0)
-    rows, cols = np.nonzero(mask)
-    r0 = max(int(rows.min()) - 1, 0)
-    r1 = min(int(rows.max()), mask.shape[0] - 2)
-    c0 = max(int(cols.min()) - 1, 0)
-    c1 = min(int(cols.max()), mask.shape[1] - 2)
-    if r1 < r0 or c1 < c0:
-        return PathologyReport(windows=(), clean=True, windows_scanned=0)
-    a = mask[r0 : r1 + 1, c0 : c1 + 1]
-    b = mask[r0 : r1 + 1, c0 + 1 : c1 + 2]
-    c = mask[r0 + 1 : r1 + 2, c0 : c1 + 1]
-    d = mask[r0 + 1 : r1 + 2, c0 + 1 : c1 + 2]
-    diag = a & d & ~b & ~c
-    anti = b & c & ~a & ~d
-    hits = diag | anti
-    windows = tuple(
-        (int(r) + r0, int(cc) + c0) for r, cc in np.argwhere(hits)
-    )
-    return PathologyReport(
-        windows=windows, clean=not windows, windows_scanned=int(hits.size)
-    )
+    ctx = ComponentContext.of(g, component)
+    m = ctx.mask
+    a, b, c, d = m[:-1, :-1], m[:-1, 1:], m[1:, :-1], m[1:, 1:]
+    # Windows reaching outside the image hold a background pair, so they
+    # never hit; they are only left out of the count.
+    windows = tuple(ctx.positions((a & d & ~b & ~c) | (b & c & ~a & ~d)))
+    scanned = 1
+    for first, size, image_size in zip(ctx.offset, m.shape, ctx.image_shape):
+        last = min(first + size - 2, image_size - 2)
+        scanned *= max(last - max(first, 0) + 1, 0)
+    return PathologyReport(windows=windows, clean=not windows, windows_scanned=scanned)
 
 
 def validate_component(g: BinaryGrid, component) -> ValidityReport:
@@ -182,23 +223,17 @@ def validate_component(g: BinaryGrid, component) -> ValidityReport:
     pathological 2x2 window, and the traced contours partition the boundary
     point set with no point shared between contours.
     """
-    reasons = []
-    cls = classify_corners(g, component)
-    for p in cls.degenerate_points:
-        reasons.append((ISOLATED_OR_THIN_POINT, p))
-    pathology = find_pathological(g, component)
-    for w in pathology.windows:
-        reasons.append((PATHOLOGICAL_WINDOW, w))
+    ctx = ComponentContext.of(g, component)
+    reasons = [(ISOLATED_OR_THIN_POINT, p) for p in ctx.positions(ctx.thin)]
+    reasons += [(PATHOLOGICAL_WINDOW, w) for w in find_pathological(g, ctx).windows]
     if not reasons:
         # Contour structure is only meaningful once the local checks pass.
-        from .curves import ContourOverlapError, ThinComponentError, trace_contours
+        from .curves import trace_contours
 
         try:
-            trace_contours(g, component)
+            trace_contours(g, ctx)
         except ContourOverlapError as exc:
             reasons.append((CONTOUR_OVERLAP, exc.point))
-        except ThinComponentError as exc:  # pragma: no cover - caught above
-            reasons.append((ISOLATED_OR_THIN_POINT, exc.point))
     return ValidityReport(valid=not reasons, reasons=tuple(reasons))
 
 
@@ -214,11 +249,4 @@ def image_census(g: BinaryGrid) -> tuple[CornerCensus, int]:
     touches = fg.size  # self
     direct, full = neighbor_counts(fg)
     touches += 8 * fg.size  # one shifted read per neighbor direction
-    bnd = fg & (full < 8)
-    census = CornerCensus(
-        c2=int((bnd & (direct == 2)).sum()),
-        c3=int((bnd & (direct == 3)).sum()),
-        c4=int((bnd & (direct == 4)).sum()),
-        boundary_total=int(bnd.sum()),
-    )
-    return census, touches
+    return _census(direct, fg & (full < 8)), touches

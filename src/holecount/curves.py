@@ -11,19 +11,21 @@ screen orientation, hole contours counterclockwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
+from scipy import ndimage
 
-from .corners import classify_corners, component_mask, neighbor_counts
+from .corners import ComponentContext, find_pathological
 from .errors import (
     ContourOverlapError,
     CurveError,
     EmptyComponentError,
     ThinComponentError,
 )
-from .grid import BinaryGrid, DIRECT_OFFSETS, Point2
-from .labeling import label_mask
+from .grid import BinaryGrid, Point2
 
 OUTER = "outer"
 HOLE = "hole"
@@ -35,11 +37,19 @@ _RIGHT = {v: k for k, v in _LEFT.items()}
 
 @dataclass(frozen=True)
 class Contour:
-    """One simple closed boundary curve, as a cyclic point sequence."""
+    """One simple closed boundary curve, as a cyclic point sequence.
+
+    `enclosed_region`, the points the curve encloses (the curve itself
+    excluded), is computed on first read.
+    """
 
     points: tuple[Point2, ...]
     kind: str
-    enclosed_region: frozenset[Point2]
+    _enclosed: Callable[[], frozenset[Point2]] = field(repr=False, compare=False)
+
+    @cached_property
+    def enclosed_region(self) -> frozenset[Point2]:
+        return self._enclosed()
 
 
 @dataclass(frozen=True)
@@ -76,21 +86,18 @@ class AccountingResult:
 
 
 def _walk(mask: np.ndarray, start: Point2, heading: Point2) -> list[Point2]:
-    """Left-hand-rule pixel walk; returns the cycle starting at `start`."""
-    h, w = mask.shape
+    """Left-hand-rule pixel walk; returns the cycle starting at `start`.
 
-    def fg(r, c):
-        return 0 <= r < h and 0 <= c < w and mask[r, c]
-
+    `mask` has a background ring, so every neighbor of its cells is in range.
+    """
     path = [start]
     p, d = start, heading
     while True:
         r, c = p
         q = None
         for nd in (_LEFT[d], d, _RIGHT[d], (-d[0], -d[1])):
-            nr, nc = r + nd[0], c + nd[1]
-            if fg(nr, nc):
-                q = (nr, nc)
+            if mask[r + nd[0], c + nd[1]]:
+                q = (r + nd[0], c + nd[1])
                 break
         if q is None or q == start:
             return path
@@ -98,97 +105,97 @@ def _walk(mask: np.ndarray, start: Point2, heading: Point2) -> list[Point2]:
         p, d = q, nd
 
 
+def _enclosed(ctx: ComponentContext, path: list[Point2], region: int) -> frozenset[Point2]:
+    """Cells of complement region `region`; for the outer contour (region 1,
+    the unbounded one) every cell outside region 1 that is not on `path`."""
+    regions = ctx.complement[0]
+    if region != 1:
+        return frozenset(ctx.positions(regions == region))
+    inside = regions != 1
+    inside[tuple(np.array(path).T)] = False
+    return frozenset(ctx.positions(inside))
+
+
 def trace_contours(g: BinaryGrid, component) -> tuple[Contour, ...]:
     """Trace the outer contour and one contour per enclosed region.
 
     Raises ThinComponentError when a boundary point has fewer than 2 direct
     neighbors, and ContourOverlapError when a traced point is revisited or
-    the contours fail to partition the boundary point set.
+    the contours fail to partition the boundary point set. The result is
+    also kept as the component context's `contours`.
     """
-    mask = component_mask(g, component)
-    if not mask.any():
+    ctx = ComponentContext.of(g, component)
+    if not ctx.area:
         raise EmptyComponentError("cannot trace an empty component")
-    direct, full = neighbor_counts(mask)
-    bnd = mask & (full < 8)
-    thin = bnd & (direct < 2)
-    if thin.any():
-        r, c = np.argwhere(thin)[0]
-        raise ThinComponentError((int(r), int(c)))
+    if ctx.thin.any():
+        raise ThinComponentError(ctx.positions(ctx.thin)[0])
 
-    padded = np.pad(mask, 1, constant_values=False)
-    regions, nregions = label_mask(~padded)
-    # The padded ring is background, so region 1 holds (0, 0) and is the
-    # unbounded one; 2..n are enclosed regions in scan order.
+    mask = ctx.mask
+    regions = ctx.complement[0]
+    # The ring is background, so region 1 holds (0, 0) and is the unbounded
+    # one; 2..n are enclosed regions in scan order.
     assert regions[0, 0] == 1
+    start = divmod(int(mask.argmax()), mask.shape[1])
+    paths = [(_walk(mask, start, _E), OUTER, 1)]
+    for rid, window in enumerate(ndimage.find_objects(regions)[1:], start=2):
+        # A region's first cell in scan order lies in the top row of its box.
+        r, cols = window[0].start, window[1]
+        c = cols.start + int(np.argmax(regions[r, cols] == rid))
+        assert mask[r - 1, c]
+        paths.append((_walk(mask, (r - 1, c), _W), HOLE, rid))
 
-    contours = []
-    rows, cols = np.nonzero(padded)
-    start = (int(rows[0]), int(cols[0]))
-    contours.append((_walk(padded, start, _E), OUTER, None))
-    for rid in range(2, nregions + 1):
-        rr, cc = np.argwhere(regions == rid)[0]
-        hole_first = (int(rr), int(cc))
-        start = (hole_first[0] - 1, hole_first[1])
-        assert padded[start]
-        contours.append((_walk(padded, start, _W), HOLE, rid))
-
-    seen: dict[Point2, int] = {}
-    for i, (path, _, _) in enumerate(contours):
+    r0, c0 = ctx.offset
+    seen = set()
+    traced = np.zeros_like(mask)
+    for path, _, _ in paths:
         for p in path:
             if p in seen:
-                raise ContourOverlapError((p[0] - 1, p[1] - 1))
-            seen[p] = i
-    expected = {(int(r), int(c)) for r, c in np.argwhere(bnd)}
-    traced = {(p[0] - 1, p[1] - 1) for p in seen}
-    if traced != expected:
-        p = min(expected.symmetric_difference(traced))
-        raise ContourOverlapError(p)
+                raise ContourOverlapError((p[0] + r0, p[1] + c0))
+            seen.add(p)
+        traced[tuple(np.array(path).T)] = True
+    mismatch = traced ^ ctx.boundary
+    if mismatch.any():
+        raise ContourOverlapError(ctx.positions(mismatch)[0])
 
-    outer_region = regions == 1
-    result = []
-    for path, kind, rid in contours:
-        pts = tuple((r - 1, c - 1) for r, c in path)
-        if kind == OUTER:
-            pset = set(path)
-            enclosed = frozenset(
-                (int(r) - 1, int(c) - 1)
-                for r, c in np.argwhere(~outer_region)
-                if (int(r), int(c)) not in pset
-            )
-        else:
-            enclosed = frozenset(
-                (int(r) - 1, int(c) - 1) for r, c in np.argwhere(regions == rid)
-            )
-        result.append(Contour(points=pts, kind=kind, enclosed_region=enclosed))
-    return tuple(result)
+    ctx.contours = tuple(
+        Contour(
+            points=tuple((r + r0, c + c0) for r, c in path),
+            kind=kind,
+            _enclosed=partial(_enclosed, ctx, path, rid),
+        )
+        for path, kind, rid in paths
+    )
+    return ctx.contours
 
 
 def curve_census(g: BinaryGrid, component, contour: Contour) -> CurveCensus:
     """Component-relative class counts over one contour's points."""
-    mask = component_mask(g, component)
-    direct, _ = neighbor_counts(mask)
-    counts = {2: 0, 3: 0, 4: 0}
-    for r, c in contour.points:
-        if not (0 <= r < mask.shape[0] and 0 <= c < mask.shape[1]) or not mask[r, c]:
-            raise ValueError(f"contour point {(r, c)} not in component")
-        counts[int(direct[r, c])] += 1
-    return CurveCensus(cp2=counts[2], cp3=counts[3], cp4=counts[4])
+    ctx = ComponentContext.of(g, component)
+    pts = np.array(contour.points, dtype=np.intp).reshape(-1, 2) - ctx.offset
+    inside = ((pts >= 0) & (pts < ctx.mask.shape)).all(axis=1)
+    inside[inside] = ctx.mask[pts[inside, 0], pts[inside, 1]]
+    if not inside.all():
+        p = contour.points[int(np.argmin(inside))]
+        raise ValueError(f"contour point {p} not in component")
+    k = np.bincount(ctx.counts[0][pts[:, 0], pts[:, 1]], minlength=5)
+    return CurveCensus(cp2=int(k[2]), cp3=int(k[3]), cp4=int(k[4]))
+
+
+def _points_context(cells) -> ComponentContext:
+    """Context of a bare point set, with no image around it."""
+    pts = np.array(list(cells), dtype=np.intp).reshape(-1, 2)
+    low = pts.min(axis=0)
+    mask = np.zeros(pts.max(axis=0) - low + 1, dtype=bool)
+    mask[tuple((pts - low).T)] = True
+    ctx = ComponentContext(mask)
+    ctx.offset = (ctx.offset[0] + int(low[0]), ctx.offset[1] + int(low[1]))
+    return ctx
 
 
 def _fill_interior(points: list[Point2]) -> set[Point2]:
-    """Interior of a closed curve: flood the outside from beyond the bbox."""
-    rs = [p[0] for p in points]
-    cs = [p[1] for p in points]
-    r0, c0 = min(rs) - 1, min(cs) - 1
-    h = max(rs) - r0 + 2
-    w = max(cs) - c0 + 2
-    curve = np.zeros((h, w), dtype=bool)
-    for r, c in points:
-        curve[r - r0, c - c0] = True
-    regions, _ = label_mask(~curve)
-    outside = regions[0, 0]
-    interior = ~curve & (regions != outside)
-    return {(int(r) + r0, int(c) + c0) for r, c in np.argwhere(interior)}
+    """Interior of a closed curve: the complement regions it encloses."""
+    ctx = _points_context(points)
+    return set(ctx.positions(ctx.complement[0] > 1))
 
 
 def check_curve_lemma(points, interior=None) -> CurveLemmaResult:
@@ -208,45 +215,28 @@ def check_curve_lemma(points, interior=None) -> CurveLemmaResult:
             raise CurveError(f"curve not closed: {a} and {b} are not 8-neighbors")
     if interior is None:
         interior = _fill_interior(points)
-    filled = set(points) | set(map(tuple, interior))
-
+    filled = _points_context(set(points) | set(map(tuple, interior)))
     # The pathological diagonal patterns must not occur in the filled set.
-    rs = [p[0] for p in filled]
-    cs = [p[1] for p in filled]
-    r0, c0 = min(rs) - 1, min(cs) - 1
-    arr = np.zeros((max(rs) - r0 + 2, max(cs) - c0 + 2), dtype=bool)
-    for r, c in filled:
-        arr[r - r0, c - c0] = True
-    a = arr[:-1, :-1]
-    b = arr[:-1, 1:]
-    c = arr[1:, :-1]
-    d = arr[1:, 1:]
-    if ((a & d & ~b & ~c) | (b & c & ~a & ~d)).any():
+    if not find_pathological(None, filled).clean:
         raise CurveError("pathological 2x2 window on the curve")
-
-    counts = {0: 0, 1: 0, 2: 0, 3: 0, 4: 0}
-    for r, c2_ in points:
-        k = sum((r + dr, c2_ + dc) in filled for dr, dc in DIRECT_OFFSETS)
-        counts[k] += 1
-    if counts[0] or counts[1]:
+    k = np.bincount(filled.counts[0][tuple((np.array(points) - filled.offset).T)], minlength=5)
+    if k[0] or k[1]:
         raise CurveError("curve point with fewer than 2 neighbors in the filled set")
     return CurveLemmaResult(
-        cp2=counts[2],
-        cp3=counts[3],
-        cp4=counts[4],
-        holds=counts[2] == counts[4] + 4,
+        cp2=int(k[2]), cp3=int(k[3]), cp4=int(k[4]), holds=bool(k[2] == k[4] + 4)
     )
 
 
 def second_proof_accounting(g: BinaryGrid, component) -> AccountingResult:
     """Sum per-curve censuses and test cp4 - cp2 == -4 + 4h."""
-    contours = trace_contours(g, component)
-    censuses = tuple(curve_census(g, component, ct) for ct in contours)
+    ctx = ComponentContext.of(g, component)
+    contours = ctx.contours or trace_contours(g, ctx)
+    censuses = tuple(curve_census(g, ctx, ct) for ct in contours)
     cp2 = sum(cc.cp2 for cc in censuses)
     cp3 = sum(cc.cp3 for cc in censuses)
     cp4 = sum(cc.cp4 for cc in censuses)
     hole_count = sum(1 for ct in contours if ct.kind == HOLE)
-    comp = classify_corners(g, component).census
+    comp = ctx.census
     census_match = (cp2, cp3, cp4) == (comp.c2, comp.c3, comp.c4)
     lhs = cp4 - cp2
     rhs = -4 + 4 * hole_count

@@ -80,13 +80,6 @@ def grid_from_rows(rows) -> BinaryGrid:
     return BinaryGrid(np.array(data, dtype=bool))
 
 
-def grid_from_points(points, height: int, width: int) -> BinaryGrid:
-    arr = np.zeros((height, width), dtype=bool)
-    for r, c in points:
-        arr[r, c] = True
-    return BinaryGrid(arr)
-
-
 def _parse_ascii01(text: str) -> BinaryGrid:
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
     if not lines:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corners import (
+    ComponentContext,
     CornerCensus,
     CornerClassification,
     ValidityReport,
@@ -67,15 +68,15 @@ def analyze_component(
     The formula result is suppressed (None) when validation was requested
     and failed, or when the census fails the divisibility that holds for
     every valid component. The oracle isolates the component on a
-    padded scratch image, so border contact is harmless here.
+    padded crop, so border contact is harmless here.
     """
     if labels is None:
         labels = label_components(g, "foreground")
-    mask = labels.mask_of(component_id)
-    classification = classify_corners(g, mask)
+    ctx = ComponentContext.of_label(labels, component_id)
+    classification = classify_corners(g, ctx)
     census = classification.census
 
-    validity = validate_component(g, mask) if run_validation else None
+    validity = validate_component(g, ctx) if run_validation else None
 
     holes_formula = None
     if validity is None or validity.valid:
@@ -84,7 +85,7 @@ def analyze_component(
         except FormulaInapplicableError:
             holes_formula = None
 
-    holes_oracle = holes_in_mask(mask) if run_oracle else None
+    holes_oracle = holes_in_mask(ctx) if run_oracle else None
 
     agreement = None
     if holes_formula is not None and holes_oracle is not None:
@@ -92,7 +93,7 @@ def analyze_component(
 
     return ComponentReport(
         component_id=component_id,
-        area=int(mask.sum()),
+        area=ctx.area,
         census=census,
         holes_formula=holes_formula,
         holes_oracle=holes_oracle,

@@ -8,6 +8,7 @@ at 1; 0 is "not in the target set".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -43,19 +44,25 @@ class LabelMap:
 
     labels: np.ndarray = field(repr=False)
     component_count: int
-    component_points: dict[int, frozenset[Point2]] = field(repr=False)
+
+    @cached_property
+    def slices(self) -> list[tuple[slice, slice]]:
+        """Bounding box of each component as two slices; id i at index i - 1."""
+        return ndimage.find_objects(self.labels)
 
     def points_of(self, component_id: int) -> frozenset[Point2]:
-        try:
-            return self.component_points[component_id]
-        except KeyError:
-            raise UnknownComponentError(
-                f"component {component_id} not in 1..{self.component_count}"
-            ) from None
+        return frozenset(map(tuple, np.argwhere(self.mask_of(component_id)).tolist()))
 
     def mask_of(self, component_id: int) -> np.ndarray:
-        self.points_of(component_id)
-        return self.labels == component_id
+        """Image-sized mask of one component; only its bounding box is read."""
+        if not 1 <= component_id <= self.component_count:
+            raise UnknownComponentError(
+                f"component {component_id} not in 1..{self.component_count}"
+            )
+        window = self.slices[component_id - 1]
+        mask = np.zeros(self.labels.shape, dtype=bool)
+        mask[window] = self.labels[window] == component_id
+        return mask
 
 
 def label_components(g: BinaryGrid, target: str = "foreground") -> LabelMap:
@@ -68,25 +75,21 @@ def label_components(g: BinaryGrid, target: str = "foreground") -> LabelMap:
         raise ValueError(f"unknown target {target!r}")
     labels, n = label_mask(mask)
     labels.setflags(write=False)
-    points: dict[int, set[Point2]] = {i: set() for i in range(1, n + 1)}
-    if n:
-        rows, cols = np.nonzero(labels)
-        for r, c, v in zip(rows.tolist(), cols.tolist(), labels[rows, cols].tolist()):
-            points[v].add((r, c))
-    frozen = {i: frozenset(s) for i, s in points.items()}
-    return LabelMap(labels=labels, component_count=n, component_points=frozen)
+    return LabelMap(labels=labels, component_count=n)
 
 
-def holes_in_mask(mask: np.ndarray) -> int:
+def holes_in_mask(mask) -> int:
     """Number of enclosed complement regions of the mask's cells.
 
-    The mask is taken as one isolated object: it is padded by one background
-    ring, the complement is 4-connected-labeled, and every region other than
-    the unbounded one counts as a hole.
+    The mask is taken as one isolated object: its bounding box is padded by
+    one background ring, the complement is 4-connected-labeled, and every
+    region other than the unbounded one counts as a hole. Given a
+    `corners.ComponentContext`, its complement labeling is read instead.
     """
-    padded = np.pad(mask, 1, constant_values=False)
-    _, n = label_mask(~padded)
-    return n - 1
+    from .corners import ComponentContext  # corners imports this module
+
+    ctx = mask if isinstance(mask, ComponentContext) else ComponentContext(mask)
+    return ctx.complement[1] - 1
 
 
 def count_holes_oracle(g: BinaryGrid, component_id: int, labels: LabelMap | None = None) -> int:

@@ -22,7 +22,7 @@ from .errors import (
     ThinSolidError,
 )
 from .grid import BinaryGrid
-from .corners import component_mask
+from .corners import ComponentContext
 
 Point3 = tuple[int, int, int]
 Face = tuple[Point3, int]
@@ -66,16 +66,12 @@ class SurfaceCensus:
 
 def double_component(g: BinaryGrid, component) -> VoxelSolid:
     """Stack a component at z = 1 and z = 2; points are (col, row, z)."""
-    mask = component_mask(g, component)
-    pts = set()
-    for r in range(mask.shape[0]):
-        for c in range(mask.shape[1]):
-            if mask[r, c]:
-                pts.add((c, r, 1))
-                pts.add((c, r, 2))
-    if not pts:
+    ctx = ComponentContext.of(g, component)
+    if not ctx.area:
         raise ValueError("cannot double an empty component")
-    return VoxelSolid(points=frozenset(pts))
+    return VoxelSolid(
+        points=frozenset((c, r, z) for r, c in ctx.positions(ctx.mask) for z in (1, 2))
+    )
 
 
 def _add(p: Point3, q) -> Point3:

@@ -233,3 +233,60 @@ def test_bench_text(capsys):
 def test_main_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--dims", "64"],
+        ["gen", "--dims", "axb"],
+        ["bench", "--reps", "0", "--output", "csv"],
+        ["bench", "--sizes", "0"],
+        ["bench", "--sizes", "abc"],
+    ],
+)
+def test_bad_arguments_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_curves_failed_identity_exit_2(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
+    real = cli.curves.second_proof_accounting
+    monkeypatch.setattr(
+        cli.curves,
+        "second_proof_accounting",
+        lambda g, c: replace(real(g, c), holds=False),
+    )
+    code, out, _ = run_cli(capsys, "curves", path)
+    assert code == cli.EXIT_DISAGREEMENT
+    assert json.loads(out)[0]["accounting"]["holds"] is False
+
+
+def test_curves_failed_lemma_exit_2(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
+    real = cli.curves.second_proof_accounting
+
+    def tampered(g, c):
+        acct = real(g, c)
+        first = replace(acct.curve_censuses[0], cp2=0)
+        return replace(acct, curve_censuses=(first,) + acct.curve_censuses[1:])
+
+    monkeypatch.setattr(cli.curves, "second_proof_accounting", tampered)
+    code, out, _ = run_cli(capsys, "curves", path)
+    assert code == cli.EXIT_DISAGREEMENT
+    assert json.loads(out)[0]["accounting"]["holds"] is True
+
+
+def test_genus3d_failed_check_exit_2(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
+    monkeypatch.setattr(cli.solid3d, "euler_genus_oracle", lambda sc: 7)
+    code, out, _ = run_cli(capsys, "genus3d", path)
+    assert code == cli.EXIT_DISAGREEMENT
+    assert json.loads(out)[0]["checks"]["genus_eq_euler"] is False

@@ -1,0 +1,261 @@
+"""The per-component context: results match a full-image reference, and the
+work done per image grows with the components' crops, not pixels x
+components.
+
+The reference below recomputes every per-component result on image-sized
+arrays, the way the package did before components were cropped: an
+image-sized mask per component, its own neighbor counts, a pathology scan
+and a contour trace over the whole padded image, and a complement labeling
+of the whole padded image.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
+
+import holecount as hc
+from holecount import cli, corners, curves, labeling
+from holecount.corners import (
+    CONTOUR_OVERLAP,
+    ISOLATED_OR_THIN_POINT,
+    PATHOLOGICAL_WINDOW,
+)
+from holecount.curves import HOLE, OUTER
+
+FOUR = ndimage.generate_binary_structure(2, 1)
+
+
+def ref_label(mask):
+    """4-connected labels renumbered 1..n by row-major first occurrence."""
+    raw, n = ndimage.label(mask, structure=FOUR)
+    values, first = np.unique(raw, return_index=True)
+    remap = np.zeros(n + 1, dtype=int)
+    remap[values[values != 0][np.argsort(first[values != 0])]] = np.arange(1, n + 1)
+    return remap[raw], n
+
+
+def ref_counts(mask):
+    p = np.pad(mask, 1).astype(int)
+    h, w = mask.shape
+    shift = {(dr, dc): p[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w] for dr in (-1, 0, 1) for dc in (-1, 0, 1)}
+    direct = shift[-1, 0] + shift[1, 0] + shift[0, -1] + shift[0, 1]
+    full = sum(v for k, v in shift.items() if k != (0, 0))
+    return direct, full
+
+
+def points(cells, dr=0, dc=0):
+    return [(int(r) + dr, int(c) + dc) for r, c in np.argwhere(cells)]
+
+
+def ref_trace(mask, bnd):
+    """Contours as (kind, points, enclosed) in image coordinates, or the
+    overlap point; traced on the whole padded image."""
+    padded = np.pad(mask, 1)
+    regions, n = ref_label(~padded)
+    paths = [(OUTER, curves._walk(padded, tuple(np.argwhere(padded)[0].tolist()), curves._E), 1)]
+    for rid in range(2, n + 1):
+        r, c = np.argwhere(regions == rid)[0].tolist()
+        paths.append((HOLE, curves._walk(padded, (r - 1, c), curves._W), rid))
+    seen = set()
+    for _, path, _ in paths:
+        for p in path:
+            if p in seen:
+                return (p[0] - 1, p[1] - 1)
+            seen.add(p)
+    traced = {(r - 1, c - 1) for r, c in seen}
+    expected = set(points(bnd))
+    if traced != expected:
+        return min(traced ^ expected)
+    result = []
+    for kind, path, rid in paths:
+        if kind == OUTER:
+            enclosed = set(points(regions != 1, -1, -1)) - {(r - 1, c - 1) for r, c in path}
+        else:
+            enclosed = set(points(regions == rid, -1, -1))
+        result.append((kind, [(r - 1, c - 1) for r, c in path], enclosed))
+    return result
+
+
+def reference(g):
+    """Per component: (to_dict, validity reasons, corner classes, contours)."""
+    labels, n = ref_label(g.cells)
+    out = []
+    for cid in range(1, n + 1):
+        mask = labels == cid
+        direct, full = ref_counts(mask)
+        bnd = mask & (full < 8)
+        classes = {p: int(direct[p]) for p in points(bnd)}
+        reasons = [(ISOLATED_OR_THIN_POINT, p) for p in points(bnd & (direct < 2))]
+        a, b, c, d = (np.pad(mask, 1)[i : i + g.height + 1, j : j + g.width + 1] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        reasons += [(PATHOLOGICAL_WINDOW, p) for p in points((a & d & ~b & ~c) | (b & c & ~a & ~d), -1, -1)]
+        contours = None
+        if not reasons:
+            contours = ref_trace(mask, bnd)
+            if isinstance(contours, tuple):
+                reasons.append((CONTOUR_OVERLAP, contours))
+                contours = None
+        k = np.bincount(direct[bnd], minlength=5)
+        c2, c3, c4 = int(k[2]), int(k[3]), int(k[4])
+        holes_formula = None if reasons or (c4 - c2) % 4 else 1 + (c4 - c2) // 4
+        holes_oracle = ref_label(~np.pad(mask, 1))[1] - 1
+        record = {
+            "component_id": cid,
+            "area": int(mask.sum()),
+            "c2": c2,
+            "c3": c3,
+            "c4": c4,
+            "holes_formula": holes_formula,
+            "holes_oracle": holes_oracle,
+            "valid": not reasons,
+            "agreement": None if holes_formula is None else holes_formula == holes_oracle,
+        }
+        out.append((record, reasons, classes, contours))
+    return out
+
+
+@st.composite
+def grids(draw):
+    """Unconstrained noise, sometimes framed by a 2-thick ring so that the
+    noise components sit nested in the ring's hole; the ring touches the
+    image border unless a margin is drawn."""
+    inner = draw(arrays(bool, st.tuples(st.integers(1, 10), st.integers(1, 10))))
+    if draw(st.booleans()):
+        inner = np.pad(np.pad(inner, 1), 2, constant_values=True)
+        inner = np.pad(inner, draw(st.integers(0, 1)))
+    return hc.BinaryGrid(inner)
+
+
+NESTED = [
+    "1111111",
+    "1000001",
+    "1011101",
+    "1010101",
+    "1011101",
+    "1000001",
+    "1111111",
+]
+# Two holes, a single point nested in the first one, border contact.
+TWO_HOLES = [
+    "111111111111",
+    "111111111111",
+    "110001100011",
+    "110101100011",
+    "110001100011",
+    "111111111111",
+    "111111111111",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+@example(hc.grid_from_rows(NESTED))
+@example(hc.grid_from_rows(TWO_HOLES))
+@example(hc.pad_background(hc.grid_from_rows(["1111", "1101", "1011", "1111"]), 1))
+@example(hc.grid_from_rows(["111111", "111111", "110011", "110011", "111111", "111111"]))
+def test_crop_path_matches_full_image_reference(g):
+    reports = hc.analyze_image(g)
+    ref = reference(g)
+    assert len(reports) == len(ref)
+    labels = hc.label_components(g)
+    for rep, (record, reasons, classes, contours) in zip(reports, ref):
+        cid = rep.component_id
+        assert rep.to_dict() == record
+        assert list(rep.validity.reasons) == reasons
+        assert list(rep.classification.classes.items()) == list(classes.items())
+        if contours is not None:
+            for component in (labels.mask_of(cid), corners.ComponentContext.of_label(labels, cid)):
+                traced = hc.trace_contours(g, component)
+                assert [(ct.kind, list(ct.points), ct.enclosed_region) for ct in traced] == contours
+
+
+def write_grid(tmp_path, g):
+    path = tmp_path / "grid.txt"
+    path.write_text(hc.to_ascii01(g))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        hc.grid_from_rows(["111111", "111111", "110011", "110011", "111111", "111111"]),
+        hc.pad_background(hc.gen_rect_with_holes(hc.random_rect_spec(3, (12, 14), 2)), 1),
+    ],
+)
+def test_cli_curves_points_match_reference(tmp_path, capsys, g):
+    import json
+
+    assert cli.main(["curves", write_grid(tmp_path, g)]) == cli.EXIT_OK
+    (entry,) = json.loads(capsys.readouterr().out)
+    (_, _, _, contours) = reference(g)[0]
+    got = [(ct["kind"], [tuple(p) for p in ct["points"]]) for ct in entry["contours"]]
+    assert got == [(kind, pts) for kind, pts, _ in contours]
+
+
+def count_calls(monkeypatch, module, name):
+    """Arguments of every call of `module.name`, whichever holecount module
+    it is called through."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, m in list(sys.modules.items()):
+        if m is not None and (modname == "holecount" or modname.startswith("holecount.")):
+            for key, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, key, counted)
+    return calls
+
+
+def tile(k_rows, k_cols):
+    """k_rows x k_cols rectangles with 0-2 holes, 2 background cells apart."""
+    cell = 12
+    arr = np.zeros((k_rows * cell + 2, k_cols * cell + 2), dtype=bool)
+    for i in range(k_rows):
+        for j in range(k_cols):
+            spec = hc.random_rect_spec(i * k_cols + j, (10, 10), (i + j) % 3)
+            arr[1 + i * cell : 11 + i * cell, 1 + j * cell : 11 + j * cell] = hc.gen_rect_with_holes(spec).cells
+    return hc.BinaryGrid(arr)
+
+
+def test_analyze_work_grows_with_crops(monkeypatch):
+    g = tile(4, 5)
+    k = 20
+    counted = count_calls(monkeypatch, corners, "neighbor_counts")
+    labeled = count_calls(monkeypatch, labeling, "label_mask")
+    reports = hc.analyze_image(g)
+    assert len(reports) == k and all(rep.agreement for rep in reports)
+    crop = 12 * 12  # each 10 x 10 rectangle plus its background ring
+    assert [mask.size for mask, in counted] == [crop] * k
+    assert [mask.size for mask, in labeled] == [g.cells.size] + [crop] * k
+
+
+def test_curves_traces_each_component_once(tmp_path, capsys, monkeypatch):
+    g = tile(3, 4)
+    traced = count_calls(monkeypatch, curves, "trace_contours")
+    assert cli.main(["curves", write_grid(tmp_path, g)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(traced) == 12
+
+
+def test_context_arrays_are_cropped():
+    g = hc.pad_background(hc.grid_from_rows(["111", "101", "111"]), 4)
+    ctx = corners.ComponentContext.of(g, g.cells)
+    assert ctx.offset == (3, 3)
+    assert ctx.mask.shape == (5, 5)
+    assert ctx.positions(ctx.mask) == sorted(g.foreground_points())
+    assert ctx.complement[1] == 2
+
+
+def test_label_map_has_no_point_sets(m7):
+    lm = hc.label_components(hc.pad_background(m7, 2), "foreground")
+    assert set(vars(lm)) <= {"labels", "component_count", "slices"}
+    assert lm.points_of(1) == hc.pad_background(m7, 2).foreground_points()
+    assert lm.mask_of(1).shape == lm.labels.shape

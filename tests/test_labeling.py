@@ -24,7 +24,7 @@ def test_empty_grid_has_no_components():
     g = hc.BinaryGrid(np.zeros((4, 4), dtype=bool))
     lm = hc.label_components(g, "foreground")
     assert lm.component_count == 0
-    assert lm.component_points == {}
+    assert {i: lm.points_of(i) for i in range(1, lm.component_count + 1)} == {}
 
 
 def test_ids_follow_row_major_first_occurrence():
