@@ -11,11 +11,9 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import corners, curves, gen, grid, holes, solid3d
 from .errors import HolecountError
-from .labeling import label_components, label_mask
+from .labeling import holes_in_mask, label_components
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -198,22 +196,19 @@ def census_path(g: grid.BinaryGrid) -> tuple[int | None, int]:
 def oracle_path(g: grid.BinaryGrid) -> tuple[int, int]:
     """Holes of a single-component image by complement labeling.
 
-    Returns (holes, pixel_touches); touch accounting mirrors the array
-    passes performed: 5 per pixel per 4-connected labeling (self plus the
-    structuring element reads) and 1 per mask comparison or pad copy.
+    Returns (holes, pixel_touches). The touch count is a model, not a
+    measurement: it adds up the array passes performed, 5 per cell per
+    4-connected labeling (the cell plus the structuring element's reads)
+    and 1 per cell per other pass over a component's crop (cutting it out,
+    copying it into its background ring, summing its area, negating it).
     """
-    n_px = g.cells.size
-    labels, n = label_mask(g.cells)
-    touches = 5 * n_px
+    labels = label_components(g, "foreground")
+    touches = 5 * g.cells.size
     total = 0
-    for cid in range(1, n + 1):
-        mask = labels == cid
-        touches += n_px
-        padded = np.pad(mask, 1, constant_values=False)
-        touches += padded.size
-        _, regions = label_mask(~padded)
-        touches += 5 * padded.size
-        total += regions - 1
+    for cid in range(1, labels.component_count + 1):
+        ctx = corners.ComponentContext.of_label(labels, cid)
+        total += holes_in_mask(ctx)
+        touches += (4 + 5) * ctx.mask.size
     return total, touches
 
 

@@ -23,19 +23,12 @@ _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 def label_mask(mask: np.ndarray) -> tuple[np.ndarray, int]:
     """4-connected labeling of a bool mask with deterministic ids.
 
-    Ids are 1..n by first occurrence in row-major order.
+    Ids are 1..n by first occurrence in row-major order, as
+    `ndimage.label` numbers them: its union-find keeps the smallest
+    provisional label of a component as the root, and the roots are
+    compacted in order.
     """
-    raw, n = ndimage.label(mask, structure=_FOUR)
-    if n == 0:
-        return raw, 0
-    flat = raw.ravel()
-    values, first = np.unique(flat, return_index=True)
-    nonzero = values != 0
-    values, first = values[nonzero], first[nonzero]
-    order = np.argsort(first, kind="stable")
-    remap = np.zeros(n + 1, dtype=raw.dtype)
-    remap[values[order]] = np.arange(1, n + 1)
-    return remap[raw], n
+    return ndimage.label(mask, structure=_FOUR)
 
 
 @dataclass(frozen=True)
@@ -95,16 +88,18 @@ def holes_in_mask(mask) -> int:
 def count_holes_oracle(g: BinaryGrid, component_id: int, labels: LabelMap | None = None) -> int:
     """Brute-force hole count of one foreground component.
 
-    Builds a scratch image containing only that component, pads it, and
-    counts 4-connected complement regions; result is that count minus one.
-    Other foreground components are ignored so they can neither merge nor
-    split the complement regions of this one.
+    Counts the enclosed complement regions of that component alone (see
+    `holes_in_mask`), so other foreground components can neither merge nor
+    split them. A component touching the image border is refused.
     """
+    from .corners import ComponentContext  # corners imports this module
+
     if labels is None:
         labels = label_components(g, "foreground")
-    mask = labels.mask_of(component_id)
-    if mask[0, :].any() or mask[-1, :].any() or mask[:, 0].any() or mask[:, -1].any():
+    ctx = ComponentContext.of_label(labels, component_id)
+    rows, cols = labels.slices[component_id - 1]
+    if 0 in (rows.start, cols.start) or rows.stop == g.height or cols.stop == g.width:
         raise BorderContactError(
             f"component {component_id} touches the image border; pad_background first"
         )
-    return holes_in_mask(mask)
+    return holes_in_mask(ctx)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 import holecount as hc
 from holecount.errors import BorderContactError, UnknownComponentError
-from holecount.labeling import holes_in_mask
+from holecount.labeling import holes_in_mask, label_mask
 
 
 def test_matrix5_single_component(m5):
@@ -41,6 +45,29 @@ def test_ids_follow_row_major_first_occurrence():
     assert firsts == sorted(firsts)
 
 
+def first_occurrence_renumbering(mask):
+    """Reference ids: scipy's labels renumbered 1..n by the row-major
+    position of each component's first cell (one full sort)."""
+    raw, n = ndimage.label(mask, structure=ndimage.generate_binary_structure(2, 1))
+    values, first = np.unique(raw, return_index=True)
+    keep = values != 0
+    remap = np.zeros(n + 1, dtype=raw.dtype)
+    remap[values[keep][np.argsort(first[keep], kind="stable")]] = np.arange(1, n + 1)
+    return remap[raw], n
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(0, 40), st.integers(0, 40))))
+@example(np.random.default_rng(0).random((512, 512)) < 0.3)
+@example(np.random.default_rng(1).random((512, 512)) < 0.5)
+@example(np.random.default_rng(2).random((512, 512)) < 0.6)
+def test_label_ids_are_row_major_first_occurrence(mask):
+    labels, n = label_mask(mask)
+    expected, n_expected = first_occurrence_renumbering(mask)
+    assert n == n_expected
+    np.testing.assert_array_equal(labels, expected)
+
+
 def test_background_labeling_mode(m7):
     lm = hc.label_components(hc.pad_background(m7, 1), "background")
     # Unbounded region plus the one cavity.
@@ -68,6 +95,15 @@ def test_oracle_matrix7(m7):
 def test_oracle_border_contact_raises(m7):
     with pytest.raises(BorderContactError):
         hc.count_holes_oracle(m7, 1)
+
+
+@pytest.mark.parametrize("side", ["top", "left", "bottom", "right"])
+def test_oracle_border_contact_on_each_side(side):
+    padded = hc.pad_background(hc.grid_from_rows(["111", "101", "111"]), 2).cells
+    cut = {"top": padded[2:], "left": padded[:, 2:], "bottom": padded[:-2], "right": padded[:, :-2]}
+    with pytest.raises(BorderContactError):
+        hc.count_holes_oracle(hc.BinaryGrid(cut[side]), 1)
+    assert hc.count_holes_oracle(hc.BinaryGrid(padded), 1) == 1
 
 
 def test_oracle_square_with_center_cavity():
