@@ -11,6 +11,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import corners, curves, gen, grid, holes, solid3d
 from .errors import HolecountError
 from .labeling import holes_in_mask, label_components
@@ -45,12 +47,14 @@ def _ints(text: str, sep: str) -> list[int]:
 def render_annotations(g: grid.BinaryGrid, reports) -> str:
     """Digit overlay in the style of the worked example: 2/4 corner classes,
     1 for other component points, 0 for background."""
-    canvas = [["1" if v else "0" for v in row] for row in g.cells.tolist()]
+    canvas = g.cells.view(np.uint8) + ord("0")
     for rep in reports:
-        for (r, c), k in rep.classification.classes.items():
-            if k in (2, 4):
-                canvas[r][c] = str(k)
-    return "\n".join("".join(row) for row in canvas)
+        classes = rep.classification.classes
+        points = np.array(list(classes), dtype=np.intp).reshape(-1, 2)
+        k = np.fromiter(classes.values(), dtype=np.uint8, count=len(classes))
+        corner = (k == 2) | (k == 4)
+        canvas[points[corner, 0], points[corner, 1]] = k[corner] + ord("0")
+    return grid.text_rows(canvas)[:-1]
 
 
 def cmd_analyze(args) -> int:
@@ -97,8 +101,31 @@ def _each_valid_component(args, entry_of) -> int:
             return EXIT_INPUT
         out.append(entry)
         all_hold = all_hold and holds
-    print(json.dumps(out, indent=2))
+    print(_to_json(out))
     return EXIT_OK if all_hold else EXIT_DISAGREEMENT
+
+
+# A contour point as json.dumps(..., indent=2) lays it out at its depth:
+# the top list > an entry > "contours" > a contour > "points".
+_POINT = "[\n            %d,\n            %d\n          ]"
+_POINTS_MARK = "@points"
+
+
+def _to_json(entries: list[dict]) -> str:
+    """`json.dumps(entries, indent=2)`, with every contour's points laid out
+    by `_POINT` (and replaced in `entries` by a mark): indent= forces the
+    pure-Python encoder, which would visit every coordinate."""
+    points = []
+    for entry in entries:
+        for contour in entry.get("contours", ()):
+            points.append(contour["points"])
+            contour["points"] = _POINTS_MARK
+    parts = json.dumps(entries, indent=2).split(f'"{_POINTS_MARK}"')
+    out = [parts[0]]
+    for pts, part in zip(points, parts[1:]):
+        body = ",\n          ".join(map(_POINT.__mod__, pts))
+        out += ["[\n          ", body, "\n        ]", part]
+    return "".join(out)
 
 
 def _curves_entry(g, cid, ctx) -> tuple[dict, bool]:
@@ -113,7 +140,7 @@ def _curves_entry(g, cid, ctx) -> tuple[dict, bool]:
         entry["contours"].append(
             {
                 "kind": ct.kind,
-                "points": [list(p) for p in ct.points],
+                "points": ct.points,
                 "cp2": cc.cp2,
                 "cp3": cc.cp3,
                 "cp4": cc.cp4,

@@ -145,14 +145,17 @@ def trace_contours(g: BinaryGrid, component) -> tuple[Contour, ...]:
         paths.append((_walk(mask, (r - 1, c), _W), HOLE, rid))
 
     r0, c0 = ctx.offset
-    seen = set()
+    walked = np.concatenate([np.array(path) for path, _, _ in paths])
+    flat = walked[:, 0] * mask.shape[1] + walked[:, 1]
     traced = np.zeros_like(mask)
-    for path, _, _ in paths:
-        for p in path:
-            if p in seen:
-                raise ContourOverlapError((p[0] + r0, p[1] + c0))
-            seen.add(p)
-        traced[tuple(np.array(path).T)] = True
+    traced.flat[flat] = True
+    if np.count_nonzero(traced) < flat.size:
+        # The first point, in walking order, that was walked before.
+        _, firsts = np.unique(flat, return_index=True)
+        again = np.ones(flat.size, dtype=bool)
+        again[firsts] = False
+        r, c = walked[int(np.argmax(again))].tolist()
+        raise ContourOverlapError((r + r0, c + c0))
     mismatch = traced ^ ctx.boundary
     if mismatch.any():
         raise ContourOverlapError(ctx.positions(mismatch)[0])

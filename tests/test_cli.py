@@ -290,3 +290,17 @@ def test_genus3d_failed_check_exit_2(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "genus3d", path)
     assert code == cli.EXIT_DISAGREEMENT
     assert json.loads(out)[0]["checks"]["genus_eq_euler"] is False
+
+
+def test_curves_json_is_json_dumps_layout(tmp_path, capsys):
+    # Two components, one with two holes: the points are laid out by a
+    # template, the rest by json.dumps; together they must read as one
+    # json.dumps(..., indent=2) would write them.
+    rows = ["000000000000000", "011111111001110", "011111111001110", "011011011001110",
+            "011111111000000", "011111111000000", "000000000000000"]
+    path = write(tmp_path, "two.txt", "\n".join(rows) + "\n")
+    code, out, _ = run_cli(capsys, "curves", path)
+    assert code == cli.EXIT_OK
+    entries = json.loads(out)
+    assert [len(e["contours"]) for e in entries] == [3, 1]
+    assert out == json.dumps(entries, indent=2) + "\n"

@@ -185,3 +185,22 @@ def test_per_curve_identities_on_blobs(seed):
     from holecount.labeling import holes_in_mask
 
     assert sum(ct.kind == HOLE for ct in contours) == holes_in_mask(g.cells)
+
+
+@pytest.mark.parametrize(
+    "rows, point",
+    [
+        # The hole contour starts on a point of the outer one.
+        (["111", "101", "111"], (0, 1)),
+        (["0000000", "0111110", "0101010", "0111110", "0000000"], (1, 2)),
+        # The outer contour crosses the one-pixel bridge twice.
+        (["1110111", "1111111", "1110111"], (1, 4)),
+        # The outer contour passes the middle pixel twice, its only revisit.
+        (["00000", "01100", "01110", "00110", "00000"], (2, 2)),
+    ],
+)
+def test_trace_overlap_names_first_revisited_point(rows, point):
+    g = hc.grid_from_rows(rows)
+    with pytest.raises(ContourOverlapError) as info:
+        hc.trace_contours(g, g.foreground_points())
+    assert info.value.point == point

@@ -1,0 +1,320 @@
+"""The array parsers and writers of `grid` (and `cli.render_annotations`)
+against character-loop references.
+
+The references below are the package's earlier parsers and writers, kept
+here as the test oracle: they test one character at a time and build one
+Python object per pixel. For every input both parsers return equal grids
+or raise `ParseError` with the same text, line and offset; the writers
+return equal strings.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import holecount as hc
+from holecount import cli, grid
+from holecount.errors import ParseError
+
+
+def ref_parse_ascii01(text: str) -> hc.BinaryGrid:
+    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    if not lines:
+        raise ParseError("empty ascii01 input")
+    rows = []
+    width = None
+    for i, ln in enumerate(lines):
+        ln = ln.strip()
+        for j, ch in enumerate(ln):
+            if ch not in "01":
+                raise ParseError(f"illegal character {ch!r}", line=i + 1, offset=j)
+        if width is None:
+            width = len(ln)
+        elif len(ln) != width:
+            raise ParseError(
+                f"ragged row: expected width {width}, got {len(ln)}", line=i + 1
+            )
+        rows.append([ch == "1" for ch in ln])
+    return hc.BinaryGrid(np.array(rows, dtype=bool))
+
+
+def ref_pbm_tokens(text: str):
+    """Yield whitespace-separated PBM tokens with '#' comments stripped."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0]
+        for tok in body.split():
+            yield tok, lineno
+
+
+def ref_parse_pbm_p1(data: bytes) -> hc.BinaryGrid:
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"PBM P1 must be ASCII: {exc}") from None
+    toks = ref_pbm_tokens(text)
+    try:
+        magic, lineno = next(toks)
+    except StopIteration:
+        raise ParseError("empty PBM input") from None
+    if magic != "P1":
+        raise ParseError(f"bad magic {magic!r}, expected 'P1'", line=lineno)
+    dims = []
+    for tok, lineno in toks:
+        if not tok.isdigit():
+            raise ParseError(f"bad dimension token {tok!r}", line=lineno)
+        dims.append(int(tok))
+        if len(dims) == 2:
+            break
+    if len(dims) != 2:
+        raise ParseError("missing width/height in PBM header")
+    width, height = dims
+    if width < 1 or height < 1:
+        raise ParseError(f"illegal dimensions {width}x{height}")
+    bits = []
+    for tok, lineno in toks:
+        # Plain PBM allows packed digit runs like "0110".
+        for ch in tok:
+            if ch not in "01":
+                raise ParseError(f"illegal raster character {ch!r}", line=lineno)
+            bits.append(ch == "1")
+        if len(bits) > width * height:
+            raise ParseError("more raster bits than width*height", line=lineno)
+    if len(bits) != width * height:
+        raise ParseError(
+            f"raster has {len(bits)} bits, expected {width * height}"
+        )
+    arr = np.array(bits, dtype=bool).reshape(height, width)
+    return hc.BinaryGrid(arr)
+
+
+def ref_parse_image(data, fmt="ascii01"):
+    if fmt == "pbm_p1":
+        if isinstance(data, str):
+            data = data.encode("ascii")
+        return ref_parse_pbm_p1(data)
+    if fmt == "ascii01":
+        if isinstance(data, bytes):
+            try:
+                data = data.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"ascii01 must be ASCII: {exc}") from None
+        return ref_parse_ascii01(data)
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def ref_to_ascii01(g):
+    return "\n".join(
+        "".join("1" if v else "0" for v in row) for row in g.cells
+    ) + "\n"
+
+
+def ref_to_pbm_p1(g):
+    body = "\n".join(" ".join("1" if v else "0" for v in row) for row in g.cells)
+    return f"P1\n{g.width} {g.height}\n{body}\n"
+
+
+def ref_render_annotations(g, reports):
+    canvas = [["1" if v else "0" for v in row] for row in g.cells.tolist()]
+    for rep in reports:
+        for (r, c), k in rep.classification.classes.items():
+            if k in (2, 4):
+                canvas[r][c] = str(k)
+    return "\n".join("".join(row) for row in canvas)
+
+
+def outcome(parse, data, fmt):
+    try:
+        g = parse(data, fmt)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.offset)
+    return ("grid", g.cells.shape, g.cells.tobytes())
+
+
+def assert_same(data, fmt):
+    try:
+        expected = outcome(ref_parse_image, data, fmt)
+    except UnicodeEncodeError as exc:
+        # The reference let this escape for a non-ASCII str read as PBM.
+        expected = ("error", f"PBM P1 must be ASCII: {exc}", None, None)
+    assert outcome(hc.parse_image, data, fmt) == expected
+
+
+LINE_BREAKS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
+SPACES = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+NON_ASCII = ["\xe9", "\x80", "\xff", "\u2003", "\U0001f600", "\ud800"]
+ALPHABET = (
+    ["0", "1", "0", "1", "01", "10"] + LINE_BREAKS + SPACES + ["#", "P1", "P", "2", "9", "x"]
+    + NON_ASCII
+)
+
+fragments = st.lists(st.sampled_from(ALPHABET), max_size=40).map("".join)
+ascii_fragments = fragments.map(lambda s: s.encode("ascii", "ignore"))
+
+
+def to_bytes(text):
+    return text.encode("utf-8", "surrogatepass")
+
+
+@st.composite
+def mutated(draw, text):
+    """`text` with up to three characters inserted, replaced or deleted."""
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(ALPHABET))
+        op = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if op == "insert":
+            text = text[:i] + ch + text[i:]
+        elif op == "replace":
+            text = text[:i] + ch + text[i + 1 :]
+        else:
+            text = text[:i] + text[i + 1 :]
+    return text
+
+
+@st.composite
+def ascii01_texts(draw):
+    """Rows of bits, mostly of one width, padded with whitespace and
+    blank lines and joined by any line break."""
+    width = draw(st.integers(1, 6))
+    row = st.text("01", min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(row, row, st.text("01", max_size=7)), min_size=1, max_size=5))
+    pad = st.lists(st.sampled_from(SPACES), max_size=2).map("".join)
+    out = []
+    for row in rows:
+        out.append(draw(pad) + row + draw(pad))
+        out.append(draw(st.sampled_from(LINE_BREAKS)))
+        if draw(st.booleans()):
+            out.append(draw(pad) + draw(st.sampled_from(LINE_BREAKS)))
+    return draw(mutated("".join(out)))
+
+
+@st.composite
+def pbm_texts(draw):
+    """A P1 header and raster with comments, packed runs and any line
+    break; the dimensions do not always fit the raster."""
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = h * w + draw(st.sampled_from([0, 0, 0, -1, 1, 3]))
+    bits = draw(st.text("01", min_size=n, max_size=n))
+    sep = st.sampled_from([" ", "\t", "  "] + [b for b in LINE_BREAKS if b.isascii()])
+    comment = st.sampled_from(["", "", "# c\n", "#1 0\r\n", "#"])
+    toks = ["P1", str(w), str(h)]
+    i = 0
+    while i < len(bits):
+        k = draw(st.integers(1, 4))
+        toks.append(bits[i : i + k])
+        i += k
+    out = []
+    for tok in toks:
+        out.append(tok + draw(sep) + draw(comment))
+    return draw(mutated("".join(out)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "01\r\n10\r\n",
+        "01\r10\x0b11\x0c00\x1c01\x1d10\x1e11",
+        "01\x8510\u202811\u202900",
+        "\n\n  01  \n\t\n10\x1f\n\n",
+        "01\n\n0x\n",  # illegal character on the 2nd non-blank line
+        "  0 1\n",  # inner whitespace is illegal; offset inside the stripped line
+        "01\n011\n0x1\n",  # ragged row before a later illegal character
+        "01\n0x1\n",  # illegal character and ragged on one line
+        "01\n\u20020\u2003\n",
+        "0\xe9\n",
+        "\x1f\t\u3000\n",
+        "",
+    ],
+)
+def test_ascii01_matches_reference_on_examples(text):
+    assert_same(text, "ascii01")
+    if text.isascii():
+        assert_same(text.encode("ascii"), "ascii01")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P1\n# a comment\n2 2 # another\n10\n01\n",
+        b"P1\r\n2 2\r\n1 0\r\n0 1 1\r\n",  # more raster bits, on line 4
+        b"P1 2 2 1001",
+        b"P1 2 2 10 011 0",  # the token that overflows is reported
+        b"P1 2 2 10 0x1",  # illegal character before overflow in one token
+        b"P1\x0b2\x1c2\x1e#x\n1\x0c0\r0\n1",
+        b"P1\n2\n1 0",
+        b"P1\n2 x\n",
+        b"P1 0 3",
+        b"P2 2 2 1 0 0 1",
+        b"#P1\n",
+        b"P1 2 2 1 0 0 \x80",
+        b"P1 1 1 1",
+    ],
+)
+def test_pbm_matches_reference_on_examples(data):
+    assert_same(data, "pbm_p1")
+    assert_same(data.decode("latin-1"), "pbm_p1")
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(ascii01_texts(), fragments, st.text(max_size=30)))
+@example("01\r\n\r\n10\r\n")
+def test_ascii01_str_matches_reference(text):
+    assert_same(text, "ascii01")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ascii01_texts().map(to_bytes), ascii_fragments, st.binary(max_size=30)))
+def test_ascii01_bytes_matches_reference(data):
+    assert_same(data, "ascii01")
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(pbm_texts().map(to_bytes), ascii_fragments, st.binary(max_size=30)))
+def test_pbm_bytes_matches_reference(data):
+    assert_same(data, "pbm_p1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(pbm_texts(), fragments, st.text(max_size=30)))
+def test_pbm_str_matches_reference(text):
+    assert_same(text, "pbm_p1")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P1\n" + b"1" * 5000 + b" 1\n1",
+        b"P1\n" + b"9" * 3000 + b" " + b"9" * 3000 + b"\n1",
+    ],
+)
+def test_pbm_huge_dimensions_raise_parse_error(data):
+    # The reference lets int()/str() overflow a ValueError out of these.
+    with pytest.raises(ValueError):
+        ref_parse_image(data, "pbm_p1")
+    with pytest.raises(ParseError):
+        hc.parse_image(data, "pbm_p1")
+
+
+def test_character_tables_match_str_methods():
+    codes = range(0x110000)
+    assert sorted(map(ord, grid._WHITESPACE)) == [c for c in codes if chr(c).isspace()]
+    assert sorted(map(ord, grid._LINE_BREAKS)) == [
+        c for c in codes if len(f"a{chr(c)}b".splitlines()) == 2
+    ]
+
+
+small_grids = arrays(dtype=bool, shape=st.tuples(st.integers(1, 12), st.integers(1, 12)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_grids)
+def test_writers_match_reference(cells):
+    g = hc.BinaryGrid(cells)
+    assert hc.to_ascii01(g) == ref_to_ascii01(g)
+    assert hc.to_pbm_p1(g) == ref_to_pbm_p1(g)
+    reports = hc.analyze_image(g)
+    assert cli.render_annotations(g, reports) == ref_render_annotations(g, reports)
