@@ -9,7 +9,7 @@ corner. Classes 0 and 1 are degenerate and make the component invalid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,13 +47,29 @@ class CornerCensus:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CornerClassification:
-    """Census plus the per-point class map behind it."""
+    """Census plus the per-point class map behind it. The map is built on
+    first read from `crop`: the boundary mask, the direct-neighbor counts
+    and the offset of the component's crop."""
 
     census: CornerCensus
-    classes: dict[Point2, int]
     degenerate_points: tuple[Point2, ...]
+    crop: tuple[np.ndarray, np.ndarray, tuple[int, int]] = field(repr=False)
+
+    @cached_property
+    def classes(self) -> dict[Point2, int]:
+        boundary, direct, offset = self.crop
+        return dict(zip(_positions(boundary, offset), direct[boundary].tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, CornerClassification):
+            return NotImplemented
+        return (self.census, self.classes, self.degenerate_points) == (
+            other.census,
+            other.classes,
+            other.degenerate_points,
+        )
 
 
 @dataclass(frozen=True)
@@ -165,8 +181,12 @@ class ComponentContext:
 
     def positions(self, cells: np.ndarray) -> list[Point2]:
         """Image positions of the True cells of a crop-shaped array, row-major."""
-        rows, cols = np.nonzero(cells)
-        return list(zip((rows + self.offset[0]).tolist(), (cols + self.offset[1]).tolist()))
+        return _positions(cells, self.offset)
+
+
+def _positions(cells: np.ndarray, offset) -> list[Point2]:
+    rows, cols = np.nonzero(cells)
+    return list(zip((rows + offset[0]).tolist(), (cols + offset[1]).tolist()))
 
 
 def boundary_points(g: BinaryGrid, component) -> frozenset[Point2]:
@@ -187,11 +207,10 @@ def classify_corners(g: BinaryGrid, component) -> CornerClassification:
     ctx = ComponentContext.of(g, component)
     if not ctx.area:
         raise EmptyComponentError("census of an empty component")
-    classes = dict(zip(ctx.positions(ctx.boundary), ctx.counts[0][ctx.boundary].tolist()))
     return CornerClassification(
         census=ctx.census,
-        classes=classes,
         degenerate_points=tuple(ctx.positions(ctx.thin)),
+        crop=(ctx.boundary, ctx.counts[0], ctx.offset),
     )
 
 

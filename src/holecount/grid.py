@@ -219,13 +219,16 @@ def _parse_pbm_p1(data: bytes) -> BinaryGrid:
     return BinaryGrid((bits == _ONE).reshape(height, width))
 
 
-def parse_image(data: bytes | str, fmt: str = "ascii01") -> BinaryGrid:
+def parse_image(data: bytes | bytearray | memoryview | str, fmt: str = "ascii01") -> BinaryGrid:
     """Parse a binary image.
 
     fmt='pbm_p1': plain netpbm bitmap, bit 1 = black = foreground.
     fmt='ascii01': lines of '0'/'1' characters of equal length.
     The README's "Input formats" gives the exact rules and error positions.
+    Any bytes-like object (bytearray, memoryview, ...) is read as bytes.
     """
+    if not isinstance(data, (bytes, str)):
+        data = memoryview(data).tobytes()  # TypeError if it is not bytes-like
     if fmt == "pbm_p1":
         if isinstance(data, str):
             try:

@@ -67,8 +67,12 @@ def analyze_component(
 
     The formula result is suppressed (None) when validation was requested
     and failed, or when the census fails the divisibility that holds for
-    every valid component. The oracle isolates the component on a
-    padded crop, so border contact is harmless here.
+    every valid component. The oracle result is suppressed too when
+    validation ran and failed: the 4-connected complement of a component
+    whose boundary is not a set of simple closed curves does not count its
+    holes (with validation off, the oracle runs on every component). The
+    oracle isolates the component on a padded crop, so border contact is
+    harmless here.
     """
     if labels is None:
         labels = label_components(g, "foreground")
@@ -78,14 +82,14 @@ def analyze_component(
 
     validity = validate_component(g, ctx) if run_validation else None
 
-    holes_formula = None
+    holes_formula = holes_oracle = None
     if validity is None or validity.valid:
         try:
             holes_formula = holes_by_formula(census)
         except FormulaInapplicableError:
             holes_formula = None
-
-    holes_oracle = holes_in_mask(ctx) if run_oracle else None
+        if run_oracle:
+            holes_oracle = holes_in_mask(ctx)
 
     agreement = None
     if holes_formula is not None and holes_oracle is not None:

@@ -8,13 +8,20 @@ neighbors are reachable along surface edges (edges lying in at least one
 surface face): 3 convex, 4 flat, 5 concave, 6 saddle-like.
 
 Cells are keyed by their minimum corner: a face is (corner, normal_axis),
-an edge is (corner, direction_axis), with axes 0 = x, 1 = y, 2 = z. The
-work is done on the doubled cell lattice, where position 2p + d (d in
-{0, 1}^3) holds the cell with minimum corner p that spans the axes where d
-is 1. A cell's dimension is its number of odd coordinates, and the cells
-one dimension up or down that touch it are its 6 lattice neighbors, so
-every incidence is a count of 6-neighbors. The tuple sets of the public
-attributes are decoded from the lattice only when read.
+an edge is (corner, direction_axis), with axes 0 = x, 1 = y, 2 = z. Every
+array is indexed z-major, `[z, y, x]`, so the doubled axis, only 2 or 3
+cells long, is the outermost one and the inner loops run along x.
+
+In the doubled cell lattice, position 2p + d (d in {0, 1}^3) holds the
+cell with minimum corner p that spans the axes where d is 1. The work is
+done on its parity sub-lattices, one array per kind of cell: the cubes,
+the faces of each normal, the edges of each direction and the vertices,
+each indexed by minimum corner. A face is on the surface when exactly one
+of the two cubes along its normal is solid (an XOR); an edge's face count
+is the sum of its 4 neighboring face slices and a vertex's class the sum
+of its 6 neighboring edge slices. The full lattice is assembled only as
+the input of the one labeling of surface components. The tuple sets of
+the public attributes are decoded from the arrays only when read.
 """
 
 from __future__ import annotations
@@ -33,67 +40,112 @@ Point3 = tuple[int, int, int]
 Face = tuple[Point3, int]
 Edge = tuple[Point3, int]
 
-_CUBE_CORNERS = tuple((dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1))
+# Index of the cells 0..k-2, and 1..k-1, along one point axis of a z-major array.
+_LOW = tuple(tuple(slice(None, -1) if i == 2 - a else slice(None) for i in range(3)) for a in range(3))
+_HIGH = tuple(tuple(slice(1, None) if i == 2 - a else slice(None) for i in range(3)) for a in range(3))
+# Doubled-lattice parity of the edges of each direction and the faces of each normal.
+_EDGE_PARITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_FACE_PARITY = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+_SIX = ndimage.generate_binary_structure(3, 1)
+
+
+def _spread(a: np.ndarray, axis: int, out: np.ndarray, op=np.add) -> None:
+    """Fold each cell of `a` into the two cells of `out` on either side of
+    it along a point axis; `out` is one cell longer than `a` there."""
+    low, high = out[_LOW[axis]], out[_HIGH[axis]]
+    op(low, a, out=low)
+    op(high, a, out=high)
+
+
+def _points(mask: np.ndarray, origin) -> list[Point3]:
+    """The points `origin + (x, y, z)` of the True cells of a z-major mask."""
+    return list(map(tuple, (np.argwhere(mask)[:, ::-1] + origin).tolist()))
+
+
+def _sublattice(parity) -> tuple:
+    """Index of the cells of one (x, y, z) parity in the z-major doubled lattice."""
+    return tuple(slice(d, None, 2) for d in reversed(parity))
 
 
 class VoxelSolid:
-    """Lattice points of a solid: `occupied[i]` is the point `origin + i`."""
+    """Lattice points of a solid: `occupied[z, y, x]` is the point `origin + (x, y, z)`."""
 
     def __init__(self, points: frozenset[Point3]):
         xyz = np.array(list(points), dtype=np.int64).reshape(-1, 3)
         self.origin = xyz.min(axis=0) if len(xyz) else np.zeros(3, dtype=np.int64)
-        self.occupied = np.zeros(np.ptp(xyz, axis=0) + 1 if len(xyz) else (0, 0, 0), dtype=bool)
-        self.occupied[tuple((xyz - self.origin).T)] = True
+        self.occupied = np.zeros((np.ptp(xyz, axis=0) + 1)[::-1] if len(xyz) else (0, 0, 0), dtype=bool)
+        self.occupied[tuple((xyz - self.origin).T[::-1])] = True
         self.points = points
 
     @cached_property
     def points(self) -> frozenset[Point3]:
-        return frozenset(map(tuple, (np.argwhere(self.occupied) + self.origin).tolist()))
+        return frozenset(_points(self.occupied, self.origin))
 
 
 class SurfaceComplex:
-    """Boundary cell complex of a voxel solid, on the doubled cell lattice.
+    """Boundary cell complex of a voxel solid, on the parity sub-lattices.
 
-    `cells` marks the surface vertices, edges and faces, `dims` holds every
-    lattice cell's dimension, and lattice position q is the cell with
-    minimum corner `origin + q // 2`. `degree` counts each cell's surface
-    6-neighbors: a vertex's surface edges (its class), 2 plus an edge's
-    surface faces, or a face's 4 edges.
+    `face_cells[a]` marks the surface faces of normal a. From it come
+    `edge_degree[a]`, the number of surface faces at each edge of direction
+    a, `edge_cells[a]`, the edges with at least one, and `vertex_class`,
+    the number of surface edges at each vertex. All are z-major and indexed
+    by minimum corner, which is `origin + (x, y, z)`.
     """
 
-    def __init__(self, cells: np.ndarray, dims: np.ndarray, degree: np.ndarray, origin):
-        self.cells, self.dims, self.degree, self.origin = cells, dims, degree, origin
+    def __init__(self, face_cells, origin):
+        self.face_cells, self.origin = tuple(face_cells), origin
+        shape = np.add(self.face_cells[2].shape, (0, 1, 1))  # of the vertices; z is the normal
+        self.edge_degree = []
+        for a in range(3):
+            degree = np.zeros([k - (i == 2 - a) for i, k in enumerate(shape)], dtype=np.int8)
+            for b in {0, 1, 2} - {a}:
+                _spread(self.face_cells[b].view(np.int8), 3 - a - b, degree)
+            self.edge_degree.append(degree)
+        self.edge_cells = [d > 0 for d in self.edge_degree]
+        self.vertex_class = np.zeros(shape, dtype=np.int8)
+        for a, e in enumerate(self.edge_cells):
+            _spread(e.view(np.int8), a, self.vertex_class)
 
-    def of_dim(self, dim: int) -> np.ndarray:
-        """Mask of the surface cells of one dimension."""
-        return self.cells & (self.dims == dim)
+    def _families(self, dim: int) -> list[tuple]:
+        """(axis, parity, mask, value) of each array of cells of one
+        dimension: an edge's direction or a face's normal (None for the
+        vertices), its doubled-lattice parity, its surface cells and the
+        value an error names."""
+        if dim == 0:
+            return [(None, (0, 0, 0), self.vertex_class > 0, self.vertex_class)]
+        if dim == 1:
+            return list(zip(range(3), _EDGE_PARITY, self.edge_cells, self.edge_degree))
+        return list(zip(range(3), _FACE_PARITY, self.face_cells, self.face_cells))
 
-    def _cells(self, dim: int) -> dict:
-        """Lattice position -> cell, for the surface cells of one dimension:
-        a point, or (corner, axis) with an edge's direction or a face's normal."""
-        pos = np.argwhere(self.of_dim(dim))
-        cells = map(tuple, (pos // 2 + self.origin).tolist())
-        if dim:
-            odd = pos % 2
-            cells = zip(cells, (odd.argmax(1) if dim == 1 else odd.argmin(1)).tolist())
-        return dict(zip(map(tuple, pos.tolist()), cells))
+    def _cells(self, dim: int) -> list:
+        """The surface cells of one dimension: points, or (corner, axis)."""
+        if dim == 0:
+            return _points(self.vertex_class > 0, self.origin)
+        return [(p, a) for a, _, mask, _ in self._families(dim) for p in _points(mask, self.origin)]
 
-    def _first(self, dim: int, where: np.ndarray) -> tuple:
-        """The first surface cell of a dimension where `where` holds, and its degree."""
-        pos = tuple(np.argwhere(self.of_dim(dim) & where)[0].tolist())
-        return self._cells(dim)[pos], int(self.degree[pos])
+    def _first(self, dim: int, bad) -> tuple:
+        """Among the surface cells of one dimension whose value is `bad`, the
+        first in the (x, y, z) order of the doubled lattice, and its value."""
+        found = []
+        for axis, parity, mask, value in self._families(dim):
+            at = np.argwhere((mask & bad(value)).T)  # (x, y, z), in that order
+            if len(at):
+                found.append((tuple((2 * at[0] + parity).tolist()), axis, at[0], value))
+        _, axis, at, value = min(found, key=lambda f: f[0])
+        corner = tuple((at + self.origin).tolist())
+        return (corner if axis is None else (corner, axis)), int(value[tuple(at[::-1])])
 
-    vertices = cached_property(lambda self: frozenset(self._cells(0).values()))
-    edges = cached_property(lambda self: frozenset(self._cells(1).values()))
-    faces = cached_property(lambda self: frozenset(self._cells(2).values()))
+    vertices = cached_property(lambda self: frozenset(self._cells(0)))
+    edges = cached_property(lambda self: frozenset(self._cells(1)))
+    faces = cached_property(lambda self: frozenset(self._cells(2)))
 
     @cached_property
     def edge_faces(self) -> dict[Edge, tuple[Face, ...]]:
-        faces = self._cells(2)
-        return {
-            e: tuple(faces[q] for q in _neighbors(p) if q in faces)
-            for p, e in self._cells(1).items()
-        }
+        out = dict.fromkeys(self.edges, ())
+        for f in self._cells(2):
+            for e in face_edges(f):
+                out[e] += (f,)
+        return out
 
 
 @dataclass(frozen=True)
@@ -111,33 +163,13 @@ class SurfaceCensus:
         return self.m3 + self.m4 + self.m5 + self.m6 + self.other
 
 
-def _neighbors(p: tuple) -> list[tuple]:
-    return [p[:a] + (p[a] + s,) + p[a + 1 :] for a in range(3) for s in (-1, 1)]
-
-
-def _shifted(a: np.ndarray) -> list[np.ndarray]:
-    """The array's value at each cell's 6 neighbors, 0 off the lattice."""
-    padded = np.zeros([k + 2 for k in a.shape], dtype=a.dtype)  # np.pad is slower
-    padded[1:-1, 1:-1, 1:-1] = a
-    inner = [slice(1, -1)] * 3
-    return [
-        padded[tuple(inner[:axis] + [slice(s, s + k)] + inner[axis + 1 :])]
-        for axis, k in enumerate(a.shape)
-        for s in (0, 2)
-    ]
-
-
-def _six_count(cells: np.ndarray) -> np.ndarray:
-    return sum(_shifted(cells.view(np.int8)))
-
-
 def double_component(g: BinaryGrid, component) -> VoxelSolid:
     """Stack a component at z = 1 and z = 2; points are (col, row, z)."""
     ctx = ComponentContext.of(g, component)
     if not ctx.area:
         raise ValueError("cannot double an empty component")
     solid = VoxelSolid.__new__(VoxelSolid)  # straight from the crop, with no point set
-    solid.occupied = np.repeat(ctx.mask.T[:, :, None], 2, axis=2)
+    solid.occupied = np.repeat(ctx.mask[None], 2, axis=0)
     solid.origin = np.array([ctx.offset[1], ctx.offset[0], 1])
     return solid
 
@@ -161,22 +193,19 @@ def face_edges(face: Face) -> tuple[Edge, ...]:
 
 def extract_surface(s: VoxelSolid) -> SurfaceComplex:
     """Faces bounding exactly one solid cube, plus their edges and points."""
-    occ, n = s.occupied, [k - 1 for k in s.occupied.shape]
-    cubes = np.logical_and.reduce(
-        [occ[dx : dx + n[0], dy : dy + n[1], dz : dz + n[2]] for dx, dy, dz in _CUBE_CORNERS]
-    )
+    cubes = s.occupied
+    for axis in range(3):
+        cubes = cubes[_LOW[axis]] & cubes[_HIGH[axis]]
     if not cubes.any():
         raise ThinSolidError("solid contains no unit cube")
-    lattice = np.zeros([2 * k + 1 for k in n], dtype=bool)
-    lattice[1::2, 1::2, 1::2] = cubes
-    dims = sum((i % 2).astype(np.int8) for i in np.indices(lattice.shape, sparse=True))
-    faces = (dims == 2) & (_six_count(lattice) == 1)
-    edges = (dims == 1) & (_six_count(faces) > 0)
-    cells = faces | edges | ((dims == 0) & (_six_count(edges) > 0))
-    sc = SurfaceComplex(cells, dims, _six_count(cells), s.origin)
-    if (sc.degree[edges] > 4).any():
-        e, k = sc._first(1, sc.degree > 4)
-        raise InvalidSurfaceError(f"non-manifold edge {e} shared by {k - 2} surface faces")
+    faces = []
+    for a in range(3):  # a face is between the two cubes along its normal
+        faces.append(np.zeros([k + (i == 2 - a) for i, k in enumerate(cubes.shape)], dtype=bool))
+        _spread(cubes, a, faces[a], np.bitwise_xor)
+    sc = SurfaceComplex(faces, s.origin)
+    if any((d > 2).any() for d in sc.edge_degree):
+        e, k = sc._first(1, lambda d: d > 2)
+        raise InvalidSurfaceError(f"non-manifold edge {e} shared by {k} surface faces")
     return sc
 
 
@@ -186,13 +215,11 @@ def classify_surface_points(sc: SurfaceComplex, strict: bool = True) -> SurfaceC
     With strict=True a count outside 3..6 raises InvalidSurfaceError;
     otherwise it lands in `other`.
     """
-    k = sc.degree[sc.of_dim(0)]
-    outside = (k < 3) | (k > 6)
-    if strict and outside.any():
-        v, n = sc._first(0, (sc.degree < 3) | (sc.degree > 6))
+    counts = np.bincount(sc.vertex_class.ravel(), minlength=7).tolist()  # classes are 0..6
+    if strict and (counts[1] or counts[2]):
+        v, n = sc._first(0, lambda k: k < 3)
         raise InvalidSurfaceError(f"surface point {v} has {n} surface neighbors")
-    counts = np.bincount(k[~outside], minlength=7).tolist()
-    return SurfaceCensus(*counts[3:7], other=int(outside.sum()))
+    return SurfaceCensus(*counts[3:7], other=counts[1] + counts[2])
 
 
 def check_simply_connected_identity(census: SurfaceCensus) -> bool:
@@ -210,24 +237,45 @@ def genus_by_formula(census: SurfaceCensus) -> int:
 
 def euler_genus_oracle(sc: SurfaceComplex) -> int:
     """Genus from chi = V - E + F; independent of the point-class census."""
-    if (sc.degree[sc.of_dim(1)] != 4).any():
-        e, k = sc._first(1, sc.degree != 4)
-        raise InvalidSurfaceError(f"edge {e} lies in {k - 2} surface faces; surface not closed")
-    # Faces joined by shared edges: an edge's only neighbors of dimension 1
-    # or 2 are its faces.
-    six = ndimage.generate_binary_structure(3, 1)
-    labels, n = ndimage.label(sc.cells & (sc.dims > 0), structure=six)
+    if any((d & ~2).any() for d in sc.edge_degree):  # 0 only for 0 and 2
+        e, k = sc._first(1, lambda d: d != 2)
+        raise InvalidSurfaceError(f"edge {e} lies in {k} surface faces; surface not closed")
+    # Faces joined by shared edges, on the doubled lattice: an edge's only
+    # neighbors of dimension 1 or 2 are its faces.
+    lattice = np.zeros([2 * k - 1 for k in sc.vertex_class.shape], dtype=bool)
+    for dim in (1, 2):
+        for _, parity, mask, _ in sc._families(dim):
+            lattice[_sublattice(parity)] = mask
+    labels, n = ndimage.label(lattice, structure=_SIX)
     if n > 1:
-        # A vertex counts once in each component that owns one of its edges.
-        around = np.sort([nb[sc.of_dim(0)] for nb in _shifted(labels)], axis=0)
-        owners = np.where(np.diff(around, axis=0, prepend=0) != 0, around, 0)
-        v, e, f = (
-            np.bincount(cells.ravel(), minlength=n + 1)[1:]
-            for cells in (owners, labels[sc.of_dim(1)], labels[sc.of_dim(2)])
-        )
-        raise MultipleSurfaceComponentsError((v - e + f).tolist())
-    chi = sum((-1) ** d * int(sc.of_dim(d).sum()) for d in range(3))
-    return (2 - chi) // 2
+        raise MultipleSurfaceComponentsError(_component_chis(sc, labels, n))
+    chi = np.count_nonzero(sc.vertex_class) - sum(map(np.count_nonzero, sc.edge_degree))
+    chi += sum(map(np.count_nonzero, sc.face_cells))
+    return int(2 - chi) // 2
+
+
+def _component_chis(sc: SurfaceComplex, labels: np.ndarray, n: int) -> list[int]:
+    """V - E + F of each surface component, in the order of the components'
+    first cells in the (x, y, z) order of the doubled lattice. A vertex
+    counts once in each component that owns one of its edges."""
+    vef = np.zeros((3, n + 1), dtype=np.int64)
+    around = []
+    for dim in (1, 2):
+        for axis, parity, mask, _ in sc._families(dim):
+            own = labels[_sublattice(parity)]
+            vef[dim] += np.bincount(own[mask], minlength=n + 1)
+            if dim == 1:  # the labels of each vertex's two edges of this direction
+                shape = list(sc.vertex_class.shape)
+                shape[2 - axis] += 1
+                padded = np.zeros(shape, dtype=labels.dtype)
+                padded[_HIGH[axis]][_LOW[axis]] = own
+                around += [padded[_LOW[axis]], padded[_HIGH[axis]]]
+    around = np.sort([a[sc.vertex_class > 0] for a in around], axis=0)
+    owners = np.where(np.diff(around, axis=0, prepend=0) != 0, around, 0)
+    vef[0] = np.bincount(owners.ravel(), minlength=n + 1)
+    in_xyz_order = np.ascontiguousarray(labels.transpose()).ravel()
+    _, first = np.unique(in_xyz_order[in_xyz_order > 0], return_index=True)
+    return (vef[0] - vef[1] + vef[2])[np.argsort(first) + 1].tolist()
 
 
 def export_obj(sc: SurfaceComplex) -> str:

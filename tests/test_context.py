@@ -102,7 +102,7 @@ def reference(g):
         k = np.bincount(direct[bnd], minlength=5)
         c2, c3, c4 = int(k[2]), int(k[3]), int(k[4])
         holes_formula = None if reasons or (c4 - c2) % 4 else 1 + (c4 - c2) // 4
-        holes_oracle = ref_label(~np.pad(mask, 1))[1] - 1
+        holes_oracle = None if reasons else ref_label(~np.pad(mask, 1))[1] - 1
         record = {
             "component_id": cid,
             "area": int(mask.sum()),

@@ -85,6 +85,15 @@ def test_per_point_classes_match_matrix6(m5, m6_annotations):
                 assert cls.classes.get((r, c), 3) == 3, (r, c)
 
 
+def test_per_point_classes_are_built_on_first_read(m7):
+    cls = hc.classify_corners(m7, m7.foreground_points())
+    assert "classes" not in vars(cls)
+    assert set(cls.classes) == hc.boundary_points(m7, m7.foreground_points())
+    assert sorted(cls.classes.values()).count(2) == cls.census.c2
+    assert cls == hc.classify_corners(m7, m7.cells)
+    assert cls != hc.classify_corners(hc.pad_background(m7, 1), hc.pad_background(m7, 1).cells)
+
+
 def test_degenerate_points_reported_not_raised():
     g = hc.grid_from_rows(["11"])
     cls = hc.classify_corners(g, g.foreground_points())

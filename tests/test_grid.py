@@ -46,6 +46,25 @@ def test_parse_pbm_errors(data):
         hc.parse_image(data, "pbm_p1")
 
 
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+@pytest.mark.parametrize(
+    "data,fmt",
+    [(b"01\n10\n", "ascii01"), (b"P1\n2 2\n0 1\n1 0\n", "pbm_p1")],
+)
+def test_parse_bytes_like_input_as_bytes(wrap, data, fmt):
+    assert hc.parse_image(wrap(data), fmt) == hc.parse_image(data, fmt)
+    with pytest.raises(ParseError) as exc_info:
+        hc.parse_image(wrap(data + b"0x\n"), fmt)
+    with pytest.raises(ParseError) as from_bytes:
+        hc.parse_image(data + b"0x\n", fmt)
+    assert (str(exc_info.value), exc_info.value.line) == (str(from_bytes.value), from_bytes.value.line)
+
+
+def test_parse_non_bytes_like_input_raises_type_error():
+    with pytest.raises(TypeError):
+        hc.parse_image(5, "ascii01")
+
+
 def test_parse_ascii01_matrix5_foreground_tally(m5):
     # Independent tally: count the '1' characters of the transcription.
     from holecount.gen import _M5

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import holecount as hc
+from holecount import holes
 from holecount.corners import CornerCensus
 from holecount.errors import FormulaInapplicableError
 
@@ -66,8 +67,20 @@ def test_analyze_invalid_component_suppresses_formula():
     rep = hc.analyze_component(g, 1)
     assert not rep.validity.valid
     assert rep.holes_formula is None
-    assert rep.holes_oracle == 0
+    assert rep.holes_oracle is None
     assert rep.agreement is None
+    assert hc.analyze_component(g, 1, run_validation=False).holes_oracle == 0
+
+
+def test_invalid_component_gets_no_oracle_count(monkeypatch):
+    # Its 4-connected complement has two bounded regions, though the
+    # component has one hole for an 8-connected background.
+    g = hc.pad_background(hc.grid_from_rows(["1111", "1101", "1011", "1111"]), 1)
+    assert hc.analyze_component(g, 1, run_validation=False).holes_oracle == 2
+    monkeypatch.setattr(holes, "holes_in_mask", lambda ctx: pytest.fail("oracle ran"))
+    rep = hc.analyze_component(g, 1)
+    assert not rep.validity.valid
+    assert (rep.holes_formula, rep.holes_oracle, rep.agreement) == (None, None, None)
 
 
 def test_analyze_skip_validation_still_computes_formula():

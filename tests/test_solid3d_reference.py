@@ -240,6 +240,86 @@ def test_errors_name_the_cell():
     assert exc_info.value.euler_characteristics == (2, 2)
 
 
+def frame(thin, u, v, w):
+    """The point with coordinate w on the `thin` axis and u, v on the other
+    two axes, in increasing order."""
+    p = [0, 0, 0]
+    a, b = (k for k in range(3) if k != thin)
+    p[a], p[b], p[thin] = u, v, w
+    return tuple(p)
+
+
+def slab(thin, squares):
+    """The points of a one-cube-thick solid flat along the `thin` axis, made
+    of the unit cubes with minimum corner (u, v, 0) for (u, v) in `squares`."""
+    return frozenset(
+        frame(thin, u + du, v + dv, dw) for u, v in squares for du in (0, 1) for dv in (0, 1) for dw in (0, 1)
+    )
+
+
+def square(u, v, k):
+    return {(u + i, v + j) for i in range(k) for j in range(k)}
+
+
+def without_faces(sc, thin, faces):
+    """The surface with some faces taken out; a face is (u, v, w, normal),
+    the normal one of "u", "v", "w"."""
+    cells = [f.copy() for f in sc.face_cells]
+    axes = dict(zip("uvw", [k for k in range(3) if k != thin] + [thin]))
+    for u, v, w, normal in faces:
+        cells[axes[normal]][tuple(np.subtract(frame(thin, u, v, w), sc.origin)[::-1])] = False
+    return solid3d.SurfaceComplex(cells, sc.origin)
+
+
+# Every error names the cell that comes first in the (x, y, z) order of the
+# doubled lattice, and lists the components' chi in the order of their first
+# cells. The texts are the ones the package gave when it worked on one
+# (x, y, z)-ordered lattice. In every case the first cell in (z, y, x) order
+# is another one: the two bad cells (or components) lie at (u1, v1) and
+# (u2, v2) with u1 < u2, v1 > v2 and the same w.
+ERROR_TEXTS = {
+    "non-manifold edge": [
+        "non-manifold edge ((0, 1, 5), 0) shared by 4 surface faces",
+        "non-manifold edge ((1, 0, 5), 1) shared by 4 surface faces",
+        "non-manifold edge ((1, 5, 0), 2) shared by 4 surface faces",
+    ],
+    "several components": ["surface has 2 components, chi = [0, 2]"] * 3,
+    "open edge": [
+        "edge ((1, 1, 1), 2) lies in 1 surface faces; surface not closed",
+        "edge ((1, 1, 1), 2) lies in 1 surface faces; surface not closed",
+        "edge ((1, 1, 1), 1) lies in 1 surface faces; surface not closed",
+    ],
+    "vertex class": [
+        "surface point (1, 0, 3) has 2 surface neighbors",
+        "surface point (0, 1, 3) has 2 surface neighbors",
+        "surface point (0, 3, 1) has 2 surface neighbors",
+    ],
+}
+
+
+def raise_error(kind, thin):
+    if kind == "non-manifold edge":  # cube pairs sharing the edges at (1, 5) and (4, 1)
+        hc.extract_surface(VoxelSolid(points=slab(thin, {(0, 4), (1, 5), (3, 0), (4, 1)})))
+    elif kind == "several components":  # a ring at (0, 10), a cube at (10, 0)
+        solid = VoxelSolid(points=slab(thin, (square(0, 10, 4) - square(1, 11, 2)) | {(10, 0)}))
+        hc.euler_genus_oracle(hc.extract_surface(solid))
+    else:
+        sc = hc.extract_surface(VoxelSolid(points=slab(thin, square(0, 0, 3))))
+        if kind == "open edge":  # a top face's four edges lose a face each
+            hc.euler_genus_oracle(without_faces(sc, thin, [(1, 1, 1, "w")]))
+        else:  # the top corners (0, 3) and (3, 0) lose an edge each
+            damaged = [(0, 2, 1, "w"), (0, 3, 0, "v"), (2, 0, 1, "w"), (3, 0, 0, "u")]
+            hc.classify_surface_points(without_faces(sc, thin, damaged))
+
+
+@pytest.mark.parametrize("thin", [0, 1, 2], ids=["flat-in-x", "flat-in-y", "flat-in-z"])
+@pytest.mark.parametrize("kind", list(ERROR_TEXTS))
+def test_error_texts_name_the_first_cell_in_xyz_lattice_order(kind, thin):
+    with pytest.raises(InvalidSurfaceError) as exc_info:
+        raise_error(kind, thin)
+    assert str(exc_info.value) == ERROR_TEXTS[kind][thin]
+
+
 def test_genus3d_builds_no_point_sets(tmp_path, capsys, monkeypatch):
     """`genus3d` extracts one surface per component and decodes no tuple
     set of a solid or a surface."""
