@@ -245,7 +245,7 @@ def cmd_bench(args) -> int:
         raise HolecountError(f"--reps must be at least 1, got {args.reps}")
     rows = []
     for size in sizes:
-        spec = gen.random_rect_spec(args.seed, (size, size), min(5, size // 8))
+        spec = gen.random_rect_spec(args.seed, (size, size), min(5, max(size, 0) // 8))
         g = gen.gen_rect_with_holes(spec)
         n_px = size * size
         for rep in range(args.reps):
@@ -288,8 +288,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits EXIT_INPUT on a usage error; argparse's own 2 would read as a
+    failed cross-check. Subparsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="holecount",
         description="Count holes in 2D binary-image components by corner census.",
     )

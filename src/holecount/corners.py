@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
-from .errors import ContourOverlapError, EmptyComponentError
+from .errors import ContourOverlapError, EmptyComponentError, OutOfBoundsError
 from .grid import BinaryGrid, DIRECT_OFFSETS, DIAGONAL_OFFSETS, Point2
 from .labeling import label_mask
 
@@ -85,17 +85,6 @@ class ValidityReport:
     reasons: tuple[tuple[str, Point2], ...]
 
 
-def component_mask(g: BinaryGrid, component) -> np.ndarray:
-    """Bool mask of the component over the grid's shape."""
-    if isinstance(component, np.ndarray):
-        if component.shape != g.cells.shape:
-            raise ValueError("component mask shape mismatch")
-        return component.astype(bool)
-    mask = np.zeros(g.cells.shape, dtype=bool)
-    mask[tuple(np.array(list(component), dtype=np.intp).reshape(-1, 2).T)] = True
-    return mask
-
-
 def _shifted(padded: np.ndarray, dr: int, dc: int, shape) -> np.ndarray:
     h, w = shape
     return padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
@@ -149,9 +138,34 @@ class ComponentContext:
         self.contours = None
 
     @classmethod
-    def of(cls, g: BinaryGrid, component) -> "ComponentContext":
-        """Context of a point set or image-sized mask, or the context given."""
-        return component if isinstance(component, cls) else cls(component_mask(g, component))
+    def of(cls, g: BinaryGrid | None, component) -> "ComponentContext":
+        """Context of an image-sized mask or a point set, or the context given.
+
+        The points must lie in `g`; with no grid, a point set is read in its
+        own bounding box.
+        """
+        if isinstance(component, cls):
+            return component
+        if isinstance(component, np.ndarray):
+            if component.shape != g.cells.shape:
+                raise ValueError("component mask shape mismatch")
+            return cls(component)
+        pts = np.array(list(component), dtype=np.intp).reshape(-1, 2)
+        if g is not None:
+            outside = ((pts < 0) | (pts >= g.cells.shape)).any(axis=1)
+            if outside.any():
+                p = tuple(pts[outside][0].tolist())
+                raise OutOfBoundsError(f"{p} outside {g.height}x{g.width} grid")
+            if not pts.size:
+                return cls(np.zeros(g.cells.shape, dtype=bool))
+        low = pts.min(axis=0)
+        crop = np.zeros(pts.max(axis=0) - low + 1, dtype=bool)
+        crop[tuple((pts - low).T)] = True
+        ctx = cls(crop, (slice(0, crop.shape[0]), slice(0, crop.shape[1])))
+        ctx.offset = (ctx.offset[0] + int(low[0]), ctx.offset[1] + int(low[1]))
+        if g is not None:
+            ctx.image_shape = g.cells.shape
+        return ctx
 
     @classmethod
     def of_label(cls, labels, component_id: int) -> "ComponentContext":

@@ -184,20 +184,9 @@ def curve_census(g: BinaryGrid, component, contour: Contour) -> CurveCensus:
     return CurveCensus(cp2=int(k[2]), cp3=int(k[3]), cp4=int(k[4]))
 
 
-def _points_context(cells) -> ComponentContext:
-    """Context of a bare point set, with no image around it."""
-    pts = np.array(list(cells), dtype=np.intp).reshape(-1, 2)
-    low = pts.min(axis=0)
-    mask = np.zeros(pts.max(axis=0) - low + 1, dtype=bool)
-    mask[tuple((pts - low).T)] = True
-    ctx = ComponentContext(mask)
-    ctx.offset = (ctx.offset[0] + int(low[0]), ctx.offset[1] + int(low[1]))
-    return ctx
-
-
 def _fill_interior(points: list[Point2]) -> set[Point2]:
     """Interior of a closed curve: the complement regions it encloses."""
-    ctx = _points_context(points)
+    ctx = ComponentContext.of(None, points)
     return set(ctx.positions(ctx.complement[0] > 1))
 
 
@@ -218,7 +207,7 @@ def check_curve_lemma(points, interior=None) -> CurveLemmaResult:
             raise CurveError(f"curve not closed: {a} and {b} are not 8-neighbors")
     if interior is None:
         interior = _fill_interior(points)
-    filled = _points_context(set(points) | set(map(tuple, interior)))
+    filled = ComponentContext.of(None, set(points) | set(map(tuple, interior)))
     # The pathological diagonal patterns must not occur in the filled set.
     if not find_pathological(None, filled).clean:
         raise CurveError("pathological 2x2 window on the curve")

@@ -120,6 +120,8 @@ def gen_rect_with_holes(spec: ShapeSpec) -> BinaryGrid:
 def random_rect_spec(seed: int, dims, hole_count: int, max_hole=3) -> ShapeSpec:
     """Seeded random hole layout satisfying the separation invariants."""
     h, w = dims
+    if hole_count < 0:
+        raise GenError(f"hole count must be at least 0, got {hole_count}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xA5])))
     holes = []
     attempts = 0
@@ -211,7 +213,9 @@ def gen_random_blob(spec: ShapeSpec) -> BinaryGrid:
     h, w = spec.dims
     if h < 4 or w < 4:
         raise GenError(f"blob grid {h}x{w} too small")
-    target_area = spec.target_area or (h * w) // 4
+    target_area = (h * w) // 4 if spec.target_area is None else spec.target_area
+    if target_area < 1:
+        raise GenError(f"target area must be at least 1, got {target_area}")
     coarse_target = max(1, target_area // 4)
     for attempt in range(64):
         rng = np.random.Generator(

@@ -7,6 +7,7 @@ all operations on them are pure functions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,112 +81,57 @@ def grid_from_rows(rows) -> BinaryGrid:
     return BinaryGrid(np.array(data, dtype=bool))
 
 
-# The characters str.isspace() and str.strip() take as whitespace, and
-# those of them that str.splitlines() ends a line at.
-_WHITESPACE = (
-    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
-    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
-)
-_LINE_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
-
-# Character classes, in an order where `kind <= _SPACE` is whitespace and
-# `kind >= _ZERO` a bit.
-_BREAK, _SPACE, _OTHER, _ZERO, _ONE = range(5)
-_KIND = np.full(ord(max(_WHITESPACE)) + 2, _OTHER, dtype=np.uint8)
-_KIND[[ord(ch) for ch in _WHITESPACE]] = _SPACE
-_KIND[[ord(ch) for ch in _LINE_BREAKS]] = _BREAK
-_KIND[[ord("0"), ord("1")]] = _ZERO, _ONE
+# Deletes the two bits from a str: what is left are its illegal characters.
+_DROP_BITS = str.maketrans("", "", "01")
 
 
-def _kinds(codes: np.ndarray) -> np.ndarray:
-    """Class of each code point; the table's last entry, _OTHER, stands
-    for every code point past it."""
-    return _KIND.take(codes, mode="clip")
+def _bits(chunks: list[str], shape: tuple[int, int]) -> BinaryGrid:
+    """Grid of the '0'/'1' strings `chunks`, joined in row-major order."""
+    codes = np.frombuffer("".join(chunks).encode("ascii"), dtype=np.uint8)
+    return BinaryGrid((codes == ord("1")).reshape(shape))
 
 
-def _ascii_codes(data: bytes, fmt: str) -> np.ndarray:
-    try:
-        data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{fmt} must be ASCII: {exc}") from None
-    return np.frombuffer(data, dtype=np.uint8)
-
-
-def _parse_ascii01(codes: np.ndarray) -> BinaryGrid:
-    """Grid of ascii01 text given as an array of its code points."""
-    kind = _kinds(codes)
-    ink = np.flatnonzero(kind >= _OTHER)
-    if not ink.size:
+def _parse_ascii01(text: str) -> BinaryGrid:
+    rows = [row for row in map(str.strip, text.splitlines()) if row]
+    if not rows:
         raise ParseError("empty ascii01 input")
-    # A line's stripped text runs from its first to its last non-whitespace
-    # character; lines with none are dropped and not numbered. A stripped
-    # line starts after a gap in `ink` that holds a line break.
-    breaks = np.flatnonzero(kind == _BREAK)
-    gap = np.flatnonzero(np.diff(ink) > 1) + 1
-    gap = gap[np.searchsorted(breaks, ink[gap - 1]) < np.searchsorted(breaks, ink[gap])]
-    starts = ink[np.append(0, gap)]
-    widths = ink[np.append(gap, ink.size) - 1] + 1 - starts
-    # Illegal: any non-bit inside a stripped line.
-    bad = np.flatnonzero((kind == _SPACE) | (kind == _OTHER))
-    bad_line = np.searchsorted(starts, bad, side="right") - 1
-    inside = (bad_line >= 0) & (bad < starts[bad_line] + widths[bad_line])
-    bad, bad_line = bad[inside], bad_line[inside]
-    ragged = np.flatnonzero(widths != widths[0])
-    # The first line at fault is reported, an illegal character before a
-    # wrong width.
-    if bad.size and not (ragged.size and ragged[0] < bad_line[0]):
-        i = int(bad_line[0])
-        raise ParseError(
-            f"illegal character {chr(codes[bad[0]])!r}",
-            line=i + 1,
-            offset=int(bad[0] - starts[i]),
-        )
-    if ragged.size:
-        i = int(ragged[0])
-        raise ParseError(
-            f"ragged row: expected width {widths[0]}, got {widths[i]}", line=i + 1
-        )
-    return BinaryGrid((kind[ink] == _ONE).reshape(starts.size, int(widths[0])))
+    width = len(rows[0])
+    for i, row in enumerate(rows, 1):
+        illegal = row.translate(_DROP_BITS)
+        if illegal:
+            raise ParseError(
+                f"illegal character {illegal[0]!r}", line=i, offset=row.index(illegal[0])
+            )
+        if len(row) != width:
+            raise ParseError(f"ragged row: expected width {width}, got {len(row)}", line=i)
+    return _bits(rows, (len(rows), width))
 
 
-def _parse_pbm_p1(data: bytes) -> BinaryGrid:
-    codes = _ascii_codes(data, "PBM P1")
-    kind = _kinds(codes)
-    # Tokens are the runs of non-whitespace outside comments; a comment
-    # runs from a '#' to the end of its line.
-    ink = np.flatnonzero(kind >= _OTHER)
-    breaks = np.flatnonzero(kind == _BREAK)
-    hashes = np.flatnonzero(codes == ord("#"))
-    comment_ends = np.append(breaks, codes.size)[np.searchsorted(breaks, hashes)]
-    # The comment of the last '#' at or before each character, if any
-    # (index -1 picks the appended -1: no '#' before it).
-    last_hash = np.searchsorted(hashes, ink, side="right") - 1
-    chars = ink[ink >= np.append(comment_ends, -1)[last_hash]]
-    if not chars.size:
+def _parse_pbm_p1(text: str) -> BinaryGrid:
+    # (line number, tokens) of every line, comments cut off.
+    lines = enumerate((ln.partition("#")[0].split() for ln in text.splitlines()), 1)
+    header = []  # the first three tokens, with their line numbers
+    rest = []  # the tokens after them on their line
+    for lineno, tokens in lines:
+        need = 3 - len(header)
+        header += [(tok, lineno) for tok in tokens[:need]]
+        if len(header) == 3:
+            rest = [(lineno, tokens[need:])]
+            break
+    if not header:
         raise ParseError("empty PBM input")
-    first = np.append(0, np.flatnonzero(np.diff(chars) > 1) + 1)
-    last = np.append(first[1:], chars.size) - 1
-
-    def token(k: int) -> str:
-        return data[chars[first[k]] : chars[last[k]] + 1].decode("ascii")
-
-    def line(k: int) -> int:
-        """Line of token k, from 1, as str.splitlines() counts: "\\r\\n"
-        ends one line."""
-        start = chars[first[k]]
-        return 1 + int(np.searchsorted(breaks, start)) - data.count(b"\r\n", 0, start)
-
-    if token(0) != "P1":
-        raise ParseError(f"bad magic {token(0)!r}, expected 'P1'", line=line(0))
+    magic, lineno = header[0]
+    if magic != "P1":
+        raise ParseError(f"bad magic {magic!r}, expected 'P1'", line=lineno)
     dims = []
-    for k in range(1, min(3, first.size)):
-        if not token(k).isdigit():
-            raise ParseError(f"bad dimension token {token(k)!r}", line=line(k))
+    for tok, lineno in header[1:]:
+        if not tok.isdigit():
+            raise ParseError(f"bad dimension token {tok!r}", line=lineno)
         try:
-            dims.append(int(token(k)))
+            dims.append(int(tok))
         except ValueError:  # more digits than int() converts
             raise ParseError(
-                f"dimension token of {len(token(k))} digits too long", line=line(k)
+                f"dimension token of {len(tok)} digits too long", line=lineno
             ) from None
     if len(dims) != 2:
         raise ParseError("missing width/height in PBM header")
@@ -194,29 +140,33 @@ def _parse_pbm_p1(data: bytes) -> BinaryGrid:
         raise ParseError(f"illegal dimensions {width}x{height}")
     size = width * height
 
-    # The raster: every character of token 3 on, packed or not.
-    raster_start = first[3] if first.size > 3 else chars.size
-    raster = chars[raster_start:]
-    read = last[3:] + 1 - raster_start  # bits read up to each raster token
-    over = np.searchsorted(read, size, side="right") if size < raster.size else read.size
-    bits = kind[raster]
-    bad = np.flatnonzero(bits < _ZERO)[:1]
-    if bad.size:
-        k = np.searchsorted(read, bad[0], side="right")
-        if k <= over:
-            raise ParseError(
-                f"illegal raster character {chr(codes[raster[bad[0]]])!r}",
-                line=line(3 + k),
-            )
-    if over < read.size:
-        raise ParseError("more raster bits than width*height", line=line(3 + over))
-    if raster.size != size:
+    # The raster: every later token, packed or not, read a line at a time.
+    chunks, count = [], 0
+    for lineno, tokens in itertools.chain(rest, lines):
+        chunk = "".join(tokens)
+        count += len(chunk)
+        if count > size or chunk.translate(_DROP_BITS):
+            # Re-read the line token by token: an overflow is reported on
+            # the token that overflows, after that token's illegal characters.
+            count -= len(chunk)
+            for tok in tokens:
+                illegal = tok.translate(_DROP_BITS)
+                if illegal:
+                    raise ParseError(f"illegal raster character {illegal[0]!r}", line=lineno)
+                count += len(tok)
+                if count > size:
+                    raise ParseError("more raster bits than width*height", line=lineno)
+        chunks.append(chunk)
+    if count != size:
         try:
             expected = str(size)
         except ValueError:  # more digits than str() converts
             expected = f"{width}*{height}"
-        raise ParseError(f"raster has {raster.size} bits, expected {expected}")
-    return BinaryGrid((bits == _ONE).reshape(height, width))
+        raise ParseError(f"raster has {count} bits, expected {expected}")
+    return _bits(chunks, (height, width))
+
+
+_FORMATS = {"ascii01": ("ascii01", _parse_ascii01), "pbm_p1": ("PBM P1", _parse_pbm_p1)}
 
 
 def parse_image(data: bytes | bytearray | memoryview | str, fmt: str = "ascii01") -> BinaryGrid:
@@ -227,22 +177,17 @@ def parse_image(data: bytes | bytearray | memoryview | str, fmt: str = "ascii01"
     The README's "Input formats" gives the exact rules and error positions.
     Any bytes-like object (bytearray, memoryview, ...) is read as bytes.
     """
-    if not isinstance(data, (bytes, str)):
-        data = memoryview(data).tobytes()  # TypeError if it is not bytes-like
-    if fmt == "pbm_p1":
-        if isinstance(data, str):
-            try:
-                data = data.encode("ascii")
-            except UnicodeEncodeError as exc:
-                raise ParseError(f"PBM P1 must be ASCII: {exc}") from None
-        return _parse_pbm_p1(data)
-    if fmt == "ascii01":
-        if isinstance(data, bytes):
-            codes = _ascii_codes(data, "ascii01")
-        else:
-            codes = np.frombuffer(data.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        return _parse_ascii01(codes)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    name, parse = _FORMATS[fmt]
+    try:
+        if not isinstance(data, str):
+            data = str(data, "ascii")  # TypeError if it is not bytes-like
+        elif fmt == "pbm_p1":
+            data.encode("ascii")
+    except UnicodeError as exc:
+        raise ParseError(f"{name} must be ASCII: {exc}") from None
+    return parse(data)
 
 
 def text_rows(chars: np.ndarray) -> str:

@@ -230,9 +230,20 @@ def test_bench_text(capsys):
     assert "True" in out
 
 
-def test_main_requires_subcommand():
-    with pytest.raises(SystemExit):
-        cli.main([])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["analyze"],
+        ["analyze", "x", "--oracle", "maybe"],
+        ["gen", "--holes", "abc"],
+        ["frobnicate"],
+    ],
+)
+def test_usage_errors_exit_1(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INPUT
 
 
 @pytest.mark.parametrize(
@@ -243,6 +254,9 @@ def test_main_requires_subcommand():
         ["bench", "--reps", "0", "--output", "csv"],
         ["bench", "--sizes", "0"],
         ["bench", "--sizes", "abc"],
+        ["gen", "--kind", "rect_with_holes", "--holes", "-3"],
+        ["gen", "--area", "-1"],
+        ["gen", "--area", "0"],
     ],
 )
 def test_bad_arguments_exit_1(capsys, argv):

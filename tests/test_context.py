@@ -259,3 +259,23 @@ def test_label_map_has_no_point_sets(m7):
     assert set(vars(lm)) <= {"labels", "component_count", "slices"}
     assert lm.points_of(1) == hc.pad_background(m7, 2).foreground_points()
     assert lm.mask_of(1).shape == lm.labels.shape
+
+
+SQUARE = hc.grid_from_rows(["111", "111", "111"])
+
+
+@pytest.mark.parametrize("point", [(-1, -1), (SQUARE.height, 0)])
+@pytest.mark.parametrize(
+    "check",
+    [
+        corners.classify_corners,
+        corners.validate_component,
+        corners.boundary_points,
+        corners.find_pathological,
+        curves.trace_contours,
+        hc.double_component,
+    ],
+)
+def test_points_outside_the_grid_raise(check, point):
+    with pytest.raises(hc.OutOfBoundsError, match=r"outside 3x3 grid"):
+        check(SQUARE, {point})

@@ -1,4 +1,4 @@
-"""The array parsers and writers of `grid` (and `cli.render_annotations`)
+"""The parsers and writers of `grid` (and `cli.render_annotations`)
 against character-loop references.
 
 The references below are the package's earlier parsers and writers, kept
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import holecount as hc
-from holecount import cli, grid
+from holecount import cli
 from holecount.errors import ParseError
 
 
@@ -284,6 +284,51 @@ def test_pbm_str_matches_reference(text):
     assert_same(text, "pbm_p1")
 
 
+# A seeded 300x300 raster: the strategies above draw only a few rows, so
+# these cases plant one fault after many clean lines.
+ROWS = [
+    "".join(row) for row in np.where(np.random.default_rng(6).random((300, 300)) < 0.5, "1", "0")
+]
+
+
+def with_row(i, row):
+    return ROWS[:i] + [row] + ROWS[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(ROWS, id="clean"),
+        pytest.param(with_row(290, ROWS[290][:150] + "x" + ROWS[290][151:]), id="illegal"),
+        pytest.param(with_row(290, " " + ROWS[290][:-1] + "\t"), id="ragged"),
+        pytest.param(with_row(290, ROWS[290][:150] + " " + ROWS[290][150:]), id="inner-space"),
+    ],
+)
+def test_ascii01_matches_reference_at_scale(rows):
+    text = "\n".join(rows) + "\n"
+    assert_same(text, "ascii01")
+    assert_same(text.encode("ascii"), "ascii01")
+
+
+@pytest.mark.parametrize("spaced", [False, True], ids=["packed", "spaced"])
+@pytest.mark.parametrize(
+    "rows, tail",
+    [
+        pytest.param(ROWS, "", id="clean"),
+        pytest.param(with_row(290, ROWS[290][:150] + "2" + ROWS[290][151:]), "", id="illegal"),
+        pytest.param(ROWS, " 1 01", id="overflow-mid-line"),
+        pytest.param(ROWS, " 1 x", id="overflow-then-illegal"),
+        pytest.param(ROWS, " 1x", id="illegal-and-overflow-in-one-token"),
+        pytest.param(ROWS[:-1] + [ROWS[-1][:-3]], "", id="short-raster"),
+    ],
+)
+def test_pbm_matches_reference_at_scale(rows, tail, spaced):
+    sep = " " if spaced else ""
+    text = "P1\n300 300\n" + "\n".join(sep.join(row) for row in rows) + tail + "\n"
+    assert_same(text.encode("ascii"), "pbm_p1")
+    assert_same(text, "pbm_p1")
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -297,14 +342,6 @@ def test_pbm_huge_dimensions_raise_parse_error(data):
         ref_parse_image(data, "pbm_p1")
     with pytest.raises(ParseError):
         hc.parse_image(data, "pbm_p1")
-
-
-def test_character_tables_match_str_methods():
-    codes = range(0x110000)
-    assert sorted(map(ord, grid._WHITESPACE)) == [c for c in codes if chr(c).isspace()]
-    assert sorted(map(ord, grid._LINE_BREAKS)) == [
-        c for c in codes if len(f"a{chr(c)}b".splitlines()) == 2
-    ]
 
 
 small_grids = arrays(dtype=bool, shape=st.tuples(st.integers(1, 12), st.integers(1, 12)))
