@@ -68,13 +68,8 @@ def cmd_analyze(args) -> int:
         print(render_annotations(g, reports))
         for rep in reports:
             d = rep.to_dict()
-            print(
-                f"component {d['component_id']}: area={d['area']} "
-                f"c2={d['c2']} c3={d['c3']} c4={d['c4']} "
-                f"holes_formula={d['holes_formula']} "
-                f"holes_oracle={d['holes_oracle']} valid={d['valid']} "
-                f"agreement={d['agreement']}"
-            )
+            cid = d.pop("component_id")
+            print(f"component {cid}: " + " ".join(f"{k}={v}" for k, v in d.items()))
     if any(rep.agreement is False for rep in reports):
         return EXIT_DISAGREEMENT
     return EXIT_OK
@@ -202,10 +197,8 @@ def cmd_gen(args) -> int:
             target_area=args.area,
         )
         g = gen.gen_random_blob(spec)
-    if args.format == "pbm":
-        sys.stdout.write(grid.to_pbm_p1(g))
-    else:
-        sys.stdout.write(grid.to_ascii01(g))
+    to_text = grid.to_pbm_p1 if args.format == "pbm" else grid.to_ascii01
+    sys.stdout.write(to_text(g))
     return EXIT_OK
 
 

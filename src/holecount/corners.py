@@ -22,7 +22,6 @@ from .labeling import label_mask
 ISOLATED_OR_THIN_POINT = "isolated_or_thin_point"
 PATHOLOGICAL_WINDOW = "pathological_window"
 CONTOUR_OVERLAP = "contour_overlap"
-BORDER_CONTACT = "border_contact"
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,13 @@ def _ringed(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def diagonal_pairs(m: np.ndarray) -> np.ndarray:
+    """Per 2x2 window of `m`, at its top-left cell: whether exactly its two
+    main-diagonal or exactly its two anti-diagonal cells are set."""
+    a, b, c, d = m[:-1, :-1], m[:-1, 1:], m[1:, :-1], m[1:, 1:]
+    return (a & d & ~b & ~c) | (b & c & ~a & ~d)
+
+
 def neighbor_counts(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell counts of direct and of all 8 neighbors inside the mask."""
     padded = _ringed(mask)
@@ -119,21 +125,18 @@ def _census(direct: np.ndarray, bnd: np.ndarray) -> CornerCensus:
 class ComponentContext:
     """One component cut out of its image, with the arrays its checks share.
 
-    `mask` is the bounding box `window` of the True cells of an image-sized
-    mask (found when not given), grown by a background ring; a position in
-    it plus `offset` is the image position. The neighbor counts, boundary
-    and complement labeling are each computed on first read, then shared by
-    the census, the validity checks, contour tracing, the hole oracle and
-    3D doubling. `curves.trace_contours` keeps its result in `contours`.
+    `mask` is `crop`, the component's box of an `image_shape` image whose
+    first cell is at `origin`, grown by a background ring; a position in it
+    plus `offset` is the image position. The neighbor counts, boundary,
+    thin points and complement labeling are each computed on first read,
+    then shared by the census, the validity checks, contour tracing, the
+    hole oracle and 3D doubling. `trace_contours` keeps its result in `contours`.
     """
 
-    def __init__(self, mask: np.ndarray, window=None):
-        mask = np.asarray(mask, dtype=bool)
-        if window is None:
-            window = (ndimage.find_objects(mask.view(np.uint8)) or [(slice(0, 0),) * 2])[0]
-        self.image_shape = mask.shape
-        self.offset = (window[0].start - 1, window[1].start - 1)
-        self.mask = _ringed(mask[window])
+    def __init__(self, crop: np.ndarray, origin: tuple[int, int], image_shape: tuple[int, int]):
+        self.image_shape = image_shape
+        self.offset = (origin[0] - 1, origin[1] - 1)
+        self.mask = _ringed(crop)
         self.area = int(self.mask.sum())
         self.contours = None
 
@@ -141,15 +144,18 @@ class ComponentContext:
     def of(cls, g: BinaryGrid | None, component) -> "ComponentContext":
         """Context of an image-sized mask or a point set, or the context given.
 
-        The points must lie in `g`; with no grid, a point set is read in its
+        The mask must have the shape of `g` and the points must lie in it;
+        with no grid, a mask is its own image and a point set is read in its
         own bounding box.
         """
         if isinstance(component, cls):
             return component
         if isinstance(component, np.ndarray):
-            if component.shape != g.cells.shape:
+            if g is not None and component.shape != g.cells.shape:
                 raise ValueError("component mask shape mismatch")
-            return cls(component)
+            mask = component.astype(bool, copy=False)
+            window = (ndimage.find_objects(mask.view(np.uint8)) or [(slice(0, 0),) * 2])[0]
+            return cls(mask[window], (window[0].start, window[1].start), mask.shape)
         pts = np.array(list(component), dtype=np.intp).reshape(-1, 2)
         if g is not None:
             outside = ((pts < 0) | (pts >= g.cells.shape)).any(axis=1)
@@ -157,20 +163,18 @@ class ComponentContext:
                 p = tuple(pts[outside][0].tolist())
                 raise OutOfBoundsError(f"{p} outside {g.height}x{g.width} grid")
             if not pts.size:
-                return cls(np.zeros(g.cells.shape, dtype=bool))
+                return cls(np.zeros((0, 0), dtype=bool), (0, 0), g.cells.shape)
         low = pts.min(axis=0)
         crop = np.zeros(pts.max(axis=0) - low + 1, dtype=bool)
         crop[tuple((pts - low).T)] = True
-        ctx = cls(crop, (slice(0, crop.shape[0]), slice(0, crop.shape[1])))
-        ctx.offset = (ctx.offset[0] + int(low[0]), ctx.offset[1] + int(low[1]))
-        if g is not None:
-            ctx.image_shape = g.cells.shape
-        return ctx
+        return cls(crop, tuple(low.tolist()), crop.shape if g is None else g.cells.shape)
 
     @classmethod
     def of_label(cls, labels, component_id: int) -> "ComponentContext":
         """Context of one component of a `labeling.LabelMap`."""
-        return cls(labels.mask_of(component_id), labels.slices[component_id - 1])
+        mask = labels.mask_of(component_id)
+        window = labels.slices[component_id - 1]
+        return cls(mask[window], (window[0].start, window[1].start), mask.shape)
 
     @cached_property
     def counts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -181,8 +185,9 @@ class ComponentContext:
         return self.mask & (self.counts[1] < 8)
 
     @cached_property
-    def thin(self) -> np.ndarray:
-        return self.boundary & (self.counts[0] < 2)
+    def thin_points(self) -> list[Point2]:
+        """Boundary points with fewer than 2 direct neighbors, row-major."""
+        return self.positions(self.boundary & (self.counts[0] < 2))
 
     @cached_property
     def complement(self) -> tuple[np.ndarray, int]:
@@ -223,7 +228,7 @@ def classify_corners(g: BinaryGrid, component) -> CornerClassification:
         raise EmptyComponentError("census of an empty component")
     return CornerClassification(
         census=ctx.census,
-        degenerate_points=tuple(ctx.positions(ctx.thin)),
+        degenerate_points=tuple(ctx.thin_points),
         crop=(ctx.boundary, ctx.counts[0], ctx.offset),
     )
 
@@ -237,13 +242,11 @@ def find_pathological(g: BinaryGrid, component) -> PathologyReport:
     box grown by one cell and clipped to the image.
     """
     ctx = ComponentContext.of(g, component)
-    m = ctx.mask
-    a, b, c, d = m[:-1, :-1], m[:-1, 1:], m[1:, :-1], m[1:, 1:]
     # Windows reaching outside the image hold a background pair, so they
     # never hit; they are only left out of the count.
-    windows = tuple(ctx.positions((a & d & ~b & ~c) | (b & c & ~a & ~d)))
+    windows = tuple(ctx.positions(diagonal_pairs(ctx.mask)))
     scanned = 1
-    for first, size, image_size in zip(ctx.offset, m.shape, ctx.image_shape):
+    for first, size, image_size in zip(ctx.offset, ctx.mask.shape, ctx.image_shape):
         last = min(first + size - 2, image_size - 2)
         scanned *= max(last - max(first, 0) + 1, 0)
     return PathologyReport(windows=windows, clean=not windows, windows_scanned=scanned)
@@ -257,7 +260,7 @@ def validate_component(g: BinaryGrid, component) -> ValidityReport:
     point set with no point shared between contours.
     """
     ctx = ComponentContext.of(g, component)
-    reasons = [(ISOLATED_OR_THIN_POINT, p) for p in ctx.positions(ctx.thin)]
+    reasons = [(ISOLATED_OR_THIN_POINT, p) for p in ctx.thin_points]
     reasons += [(PATHOLOGICAL_WINDOW, w) for w in find_pathological(g, ctx).windows]
     if not reasons:
         # Contour structure is only meaningful once the local checks pass.

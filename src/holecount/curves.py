@@ -60,10 +60,6 @@ class CurveCensus:
     cp3: int
     cp4: int
 
-    @property
-    def total(self) -> int:
-        return self.cp2 + self.cp3 + self.cp4
-
 
 @dataclass(frozen=True)
 class CurveLemmaResult:
@@ -127,8 +123,8 @@ def trace_contours(g: BinaryGrid, component) -> tuple[Contour, ...]:
     ctx = ComponentContext.of(g, component)
     if not ctx.area:
         raise EmptyComponentError("cannot trace an empty component")
-    if ctx.thin.any():
-        raise ThinComponentError(ctx.positions(ctx.thin)[0])
+    if ctx.thin_points:
+        raise ThinComponentError(ctx.thin_points[0])
 
     mask = ctx.mask
     regions = ctx.complement[0]
@@ -184,12 +180,6 @@ def curve_census(g: BinaryGrid, component, contour: Contour) -> CurveCensus:
     return CurveCensus(cp2=int(k[2]), cp3=int(k[3]), cp4=int(k[4]))
 
 
-def _fill_interior(points: list[Point2]) -> set[Point2]:
-    """Interior of a closed curve: the complement regions it encloses."""
-    ctx = ComponentContext.of(None, points)
-    return set(ctx.positions(ctx.complement[0] > 1))
-
-
 def check_curve_lemma(points, interior=None) -> CurveLemmaResult:
     """Classify a standalone simple closed curve and test cp2 == cp4 + 4.
 
@@ -205,9 +195,11 @@ def check_curve_lemma(points, interior=None) -> CurveLemmaResult:
     for a, b in zip(points, points[1:] + points[:1]):
         if max(abs(a[0] - b[0]), abs(a[1] - b[1])) != 1:
             raise CurveError(f"curve not closed: {a} and {b} are not 8-neighbors")
+    given = () if interior is None else interior
+    filled = ComponentContext.of(None, set(points) | set(map(tuple, given)))
     if interior is None:
-        interior = _fill_interior(points)
-    filled = ComponentContext.of(None, set(points) | set(map(tuple, interior)))
+        # Fill the curve: the regions it encloses are all but the unbounded one.
+        filled = ComponentContext(filled.complement[0] != 1, filled.offset, filled.image_shape)
     # The pathological diagonal patterns must not occur in the filled set.
     if not find_pathological(None, filled).clean:
         raise CurveError("pathological 2x2 window on the curve")

@@ -10,13 +10,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corners import validate_component
+from .corners import diagonal_pairs, validate_component
 from .errors import GenError
 from .grid import BinaryGrid, grid_from_rows
 from .labeling import label_mask
 
 RECT_WITH_HOLES = "rect_with_holes"
 RANDOM_BLOB = "random_blob"
+MAX_HOLE = 3  # largest hole side that `random_rect_spec` places
+FILL_PASSES = 200  # passes of `_fill_pathological` before it gives up
 
 # The two worked example components, transcribed digit for digit, and the
 # corner-class annotation grid for the first one (2 = outward corner,
@@ -79,18 +81,14 @@ class ShapeSpec:
 
 def _check_hole_layout(dims, holes):
     h, w = dims
-    boxes = []
     for (r, c), (hh, ww) in holes:
         if hh < 1 or ww < 1:
             raise GenError(f"hole at {(r, c)} has empty size {(hh, ww)}")
         # The hole's 8-neighborhood ring must avoid the rect's perimeter.
         if r - 1 < 1 or c - 1 < 1 or r + hh > h - 2 or c + ww > w - 2:
             raise GenError(f"hole at {(r, c)} touches the boundary ring")
-        boxes.append((r, c, hh, ww))
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            ri, ci, hi, wi = boxes[i]
-            rj, cj, hj, wj = boxes[j]
+    for i, ((ri, ci), (hi, wi)) in enumerate(holes):
+        for (rj, cj), (hj, wj) in holes[i + 1 :]:
             # Walls between holes must be at least 2 thick (expanded-by-1
             # boxes disjoint), else a wall pixel borders two hole regions
             # and the hole contours overlap.
@@ -105,23 +103,33 @@ def _check_hole_layout(dims, holes):
                 )
 
 
+def _new_grid(shape, fill: bool) -> np.ndarray:
+    """A bool array of `shape` set to `fill`, or a `GenError` if it cannot be."""
+    try:
+        return np.full(shape, fill, dtype=bool)
+    except MemoryError:
+        raise GenError(f"grid {shape[0]}x{shape[1]} too large to allocate") from None
+
+
 def gen_rect_with_holes(spec: ShapeSpec) -> BinaryGrid:
     """Solid rectangle with rectangular cavities; hole count is known."""
     h, w = spec.dims
     if h < 2 or w < 2:
         raise GenError(f"rectangle {h}x{w} too small")
     _check_hole_layout(spec.dims, spec.holes)
-    arr = np.ones((h, w), dtype=bool)
+    arr = _new_grid((h, w), True)
     for (r, c), (hh, ww) in spec.holes:
         arr[r : r + hh, c : c + ww] = False
     return BinaryGrid(arr)
 
 
-def random_rect_spec(seed: int, dims, hole_count: int, max_hole=3) -> ShapeSpec:
+def random_rect_spec(seed: int, dims, hole_count: int) -> ShapeSpec:
     """Seeded random hole layout satisfying the separation invariants."""
     h, w = dims
     if hole_count < 0:
         raise GenError(f"hole count must be at least 0, got {hole_count}")
+    if seed < 0:
+        raise GenError(f"seed must be at least 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xA5])))
     holes = []
     attempts = 0
@@ -131,8 +139,8 @@ def random_rect_spec(seed: int, dims, hole_count: int, max_hole=3) -> ShapeSpec:
             raise GenError(
                 f"cannot place {hole_count} holes in a {h}x{w} rectangle"
             )
-        hh = int(rng.integers(1, max_hole + 1))
-        ww = int(rng.integers(1, max_hole + 1))
+        hh = int(rng.integers(1, MAX_HOLE + 1))
+        ww = int(rng.integers(1, MAX_HOLE + 1))
         if h - 1 - hh < 1 or w - 1 - ww < 1:
             continue
         r = int(rng.integers(1, h - hh))
@@ -180,16 +188,12 @@ def _grow_blob(rng, shape, target) -> np.ndarray:
     return mask
 
 
-def _fill_pathological(mask: np.ndarray, cap: int = 200) -> np.ndarray:
+def _fill_pathological(mask: np.ndarray) -> np.ndarray:
     """Fill the row-major-first background cell of each offending window,
     iterating to a fixpoint."""
     mask = mask.copy()
-    for _ in range(cap):
-        a = mask[:-1, :-1]
-        b = mask[:-1, 1:]
-        c = mask[1:, :-1]
-        d = mask[1:, 1:]
-        hits = np.argwhere((a & d & ~b & ~c) | (b & c & ~a & ~d))
+    for _ in range(FILL_PASSES):
+        hits = np.argwhere(diagonal_pairs(mask))
         if len(hits) == 0:
             return mask
         for r, col in hits:
@@ -216,7 +220,10 @@ def gen_random_blob(spec: ShapeSpec) -> BinaryGrid:
     target_area = (h * w) // 4 if spec.target_area is None else spec.target_area
     if target_area < 1:
         raise GenError(f"target area must be at least 1, got {target_area}")
+    if spec.seed < 0:
+        raise GenError(f"seed must be at least 0, got {spec.seed}")
     coarse_target = max(1, target_area // 4)
+    canvas = _new_grid((h, w), False)
     for attempt in range(64):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([spec.seed, attempt]))
@@ -229,11 +236,10 @@ def gen_random_blob(spec: ShapeSpec) -> BinaryGrid:
             coarse = _fill_pathological(coarse)
         except GenError:
             continue
-        mask = np.zeros((h, w), dtype=bool)
         up = coarse.repeat(2, axis=0).repeat(2, axis=1)
-        mask[: up.shape[0], : up.shape[1]] = up
+        canvas[: up.shape[0], : up.shape[1]] = up
         try:
-            mask = _fill_pathological(mask)
+            mask = _fill_pathological(canvas)
         except GenError:
             continue
         g = BinaryGrid(mask)

@@ -53,10 +53,7 @@ class BinaryGrid:
 
     def is_foreground(self, p: Point2) -> bool:
         """Out-of-bounds positions count as background."""
-        r, c = p
-        if not (0 <= r < self.height and 0 <= c < self.width):
-            return False
-        return bool(self.cells[r, c])
+        return self.in_bounds(p) and bool(self.cells[tuple(p)])
 
     def foreground_points(self) -> frozenset[Point2]:
         return frozenset((int(r), int(c)) for r, c in np.argwhere(self.cells))

@@ -76,13 +76,15 @@ def holes_in_mask(mask) -> int:
 
     The mask is taken as one isolated object: its bounding box is padded by
     one background ring, the complement is 4-connected-labeled, and every
-    region other than the unbounded one counts as a hole. Given a
-    `corners.ComponentContext`, its complement labeling is read instead.
+    region other than the unbounded one counts as a hole. The mask may be
+    any 2D array-like of truth values; given a `corners.ComponentContext`,
+    its complement labeling is read instead.
     """
     from .corners import ComponentContext  # corners imports this module
 
-    ctx = mask if isinstance(mask, ComponentContext) else ComponentContext(mask)
-    return ctx.complement[1] - 1
+    if not isinstance(mask, ComponentContext):
+        mask = np.asarray(mask, dtype=bool)
+    return ComponentContext.of(None, mask).complement[1] - 1
 
 
 def count_holes_oracle(g: BinaryGrid, component_id: int, labels: LabelMap | None = None) -> int:

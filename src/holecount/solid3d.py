@@ -158,10 +158,6 @@ class SurfaceCensus:
     m6: int
     other: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.m3 + self.m4 + self.m5 + self.m6 + self.other
-
 
 def double_component(g: BinaryGrid, component) -> VoxelSolid:
     """Stack a component at z = 1 and z = 2; points are (col, row, z)."""
@@ -258,24 +254,20 @@ def _component_chis(sc: SurfaceComplex, labels: np.ndarray, n: int) -> list[int]
     """V - E + F of each surface component, in the order of the components'
     first cells in the (x, y, z) order of the doubled lattice. A vertex
     counts once in each component that owns one of its edges."""
-    vef = np.zeros((3, n + 1), dtype=np.int64)
-    around = []
-    for dim in (1, 2):
-        for axis, parity, mask, _ in sc._families(dim):
-            own = labels[_sublattice(parity)]
-            vef[dim] += np.bincount(own[mask], minlength=n + 1)
-            if dim == 1:  # the labels of each vertex's two edges of this direction
-                shape = list(sc.vertex_class.shape)
-                shape[2 - axis] += 1
-                padded = np.zeros(shape, dtype=labels.dtype)
-                padded[_HIGH[axis]][_LOW[axis]] = own
-                around += [padded[_LOW[axis]], padded[_HIGH[axis]]]
-    around = np.sort([a[sc.vertex_class > 0] for a in around], axis=0)
+    chi = sum(np.bincount(labels[_sublattice(p)].ravel(), minlength=n + 1) for p in _FACE_PARITY)
+    chi -= sum(np.bincount(labels[_sublattice(p)].ravel(), minlength=n + 1) for p in _EDGE_PARITY)
+    # In the padded lattice the vertex of corner p is at 2p + 1; its 6 neighbors are edges.
+    padded, surface = np.pad(labels, 1), sc.vertex_class > 0
+    around = [
+        padded[tuple(slice(1 + d, 2 * k + d, 2) for d, k in zip(step, surface.shape))][surface]
+        for step in np.concatenate([np.eye(3, dtype=int), -np.eye(3, dtype=int)])
+    ]
+    around = np.sort(around, axis=0)
     owners = np.where(np.diff(around, axis=0, prepend=0) != 0, around, 0)
-    vef[0] = np.bincount(owners.ravel(), minlength=n + 1)
+    chi += np.bincount(owners.ravel(), minlength=n + 1)
     in_xyz_order = np.ascontiguousarray(labels.transpose()).ravel()
     _, first = np.unique(in_xyz_order[in_xyz_order > 0], return_index=True)
-    return (vef[0] - vef[1] + vef[2])[np.argsort(first) + 1].tolist()
+    return chi[np.argsort(first) + 1].tolist()
 
 
 def export_obj(sc: SurfaceComplex) -> str:

@@ -257,6 +257,12 @@ def test_usage_errors_exit_1(argv):
         ["gen", "--kind", "rect_with_holes", "--holes", "-3"],
         ["gen", "--area", "-1"],
         ["gen", "--area", "0"],
+        ["gen", "--seed", "-1"],
+        ["gen", "--kind", "rect_with_holes", "--seed", "-1"],
+        ["bench", "--sizes", "64", "--reps", "1", "--seed", "-1"],
+        # Larger than the address space: the allocation fails at once.
+        ["gen", "--kind", "rect_with_holes", "--dims", "99999999x99999999", "--holes", "0"],
+        ["gen", "--dims", "99999999x99999999"],
     ],
 )
 def test_bad_arguments_exit_1(capsys, argv):

@@ -245,6 +245,18 @@ def test_curves_traces_each_component_once(tmp_path, capsys, monkeypatch):
     assert len(traced) == 12
 
 
+def test_thin_points_are_decoded_once(monkeypatch):
+    """Per component one decode of the thin points, which the census, the
+    validity reasons and the tracer share, and one of the pathological
+    windows."""
+    k = 5
+    g = hc.grid_from_rows(["0" * 16, "0" + "110" * k, "0" * 16])
+    decoded = count_calls(monkeypatch, corners, "_positions")
+    reports = hc.analyze_image(g)
+    assert len(reports) == k and not any(rep.validity.valid for rep in reports)
+    assert len(decoded) == 2 * k
+
+
 def test_context_arrays_are_cropped():
     g = hc.pad_background(hc.grid_from_rows(["111", "101", "111"]), 4)
     ctx = corners.ComponentContext.of(g, g.cells)

@@ -80,6 +80,8 @@ def test_unknown_component_id(m5):
         lm.points_of(2)
     with pytest.raises(UnknownComponentError):
         hc.count_holes_oracle(m5, 99)
+    with pytest.raises(UnknownComponentError):
+        hc.analyze_component(m5, 0)
 
 
 def test_oracle_matrix5(m5):
@@ -158,3 +160,7 @@ def test_oracle_translation_and_padding_invariance(m7, margin, shift):
 def test_holes_in_mask_matches_oracle(m5, m7):
     assert holes_in_mask(m5.cells) == 0
     assert holes_in_mask(m7.cells) == 1
+    # Any 2D array-like is a mask, nested lists included.
+    assert holes_in_mask(m7.cells.tolist()) == 1
+    assert holes_in_mask([[1, 1, 1, 1], [1, 0, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]]) == 1
+    assert holes_in_mask([[1, 1, 1], [1, 0, 1], [1, 1, 1]]) == 1
