@@ -63,7 +63,7 @@ def cmd_analyze(args) -> int:
         g, run_oracle=args.oracle == "on", run_validation=args.validate == "on"
     )
     if args.output == "json":
-        print(json.dumps([rep.to_dict() for rep in reports], indent=2))
+        print(_flat_json([rep.to_dict() for rep in reports]))
     else:
         print(render_annotations(g, reports))
         for rep in reports:
@@ -73,6 +73,15 @@ def cmd_analyze(args) -> int:
     if any(rep.agreement is False for rep in reports):
         return EXIT_DISAGREEMENT
     return EXIT_OK
+
+
+def _flat_json(entries: list[dict]) -> str:
+    """`json.dumps(entries, indent=2)` of flat dicts of the same keys, C-encoded."""
+    if not entries:
+        return "[]"
+    block = "  {\n" + ",\n".join(f"    {json.dumps(key)}: %s" for key in entries[0]) + "\n  }"
+    values = json.dumps([v for e in entries for v in e.values()])[1:-1].split(", ")
+    return "[\n" + ",\n".join([block] * len(entries)) % tuple(values) + "\n]"
 
 
 def _each_valid_component(args, entry_of) -> int:

@@ -22,6 +22,7 @@ from .labeling import label_mask
 ISOLATED_OR_THIN_POINT = "isolated_or_thin_point"
 PATHOLOGICAL_WINDOW = "pathological_window"
 CONTOUR_OVERLAP = "contour_overlap"
+_FAULTS = (ISOLATED_OR_THIN_POINT, PATHOLOGICAL_WINDOW)
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,16 @@ class CornerCensus:
 @dataclass(frozen=True, eq=False)
 class CornerClassification:
     """Census plus the per-point class map behind it. The map is built on
-    first read from `crop`: the boundary mask, the direct-neighbor counts
-    and the offset of the component's crop."""
+    first read from the component's context."""
 
     census: CornerCensus
     degenerate_points: tuple[Point2, ...]
-    crop: tuple[np.ndarray, np.ndarray, tuple[int, int]] = field(repr=False)
+    context: "ComponentContext" = field(repr=False)
 
     @cached_property
     def classes(self) -> dict[Point2, int]:
-        boundary, direct, offset = self.crop
-        return dict(zip(_positions(boundary, offset), direct[boundary].tolist()))
+        ctx = self.context
+        return dict(zip(ctx.positions(ctx.boundary), ctx.counts[0][ctx.boundary].tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, CornerClassification):
@@ -100,7 +100,7 @@ def diagonal_pairs(m: np.ndarray) -> np.ndarray:
     """Per 2x2 window of `m`, at its top-left cell: whether exactly its two
     main-diagonal or exactly its two anti-diagonal cells are set."""
     a, b, c, d = m[:-1, :-1], m[:-1, 1:], m[1:, :-1], m[1:, 1:]
-    return (a & d & ~b & ~c) | (b & c & ~a & ~d)
+    return (a == d) & (b == c) & (a != b)
 
 
 def neighbor_counts(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,30 +115,94 @@ def neighbor_counts(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return direct, full
 
 
-def _census(direct: np.ndarray, bnd: np.ndarray) -> CornerCensus:
-    k = np.bincount(direct[bnd], minlength=5)
-    return CornerCensus(
-        c2=int(k[2]), c3=int(k[3]), c4=int(k[4]), boundary_total=int(bnd.sum())
-    )
+# The 8-ring of a cell in circular order.
+_RING = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
+
+
+class ComponentTable:
+    """Corner census and validity of every component of a label image.
+
+    `labels` numbers the components 1..n so that 4-adjacent foreground cells
+    share a label; a set read as one component is all label 1. Boundary
+    cells (with some 8-neighbor outside the foreground, so outside their
+    component) come from bool passes over the foreground. Only they read
+    labels, in their 8-ring: the direct neighbors of their own label give
+    their class, and 2 or more runs of other labels around the ring are an
+    overlap, where two contours would meet (a crossing number: Yokoi et al.,
+    CGIP 1975). A diagonal pair of one label is a pathological window. With
+    no thin point and no window a component is well-composed (Latecki et
+    al., CVIU 1995); `valid` adds no overlap. Positions are `labels`' plus
+    `offset`.
+    """
+
+    def __init__(self, labels: np.ndarray, n: int, offset: tuple[int, int] = (0, 0)):
+        width = labels.shape[1]
+        padded = _ringed(labels)
+        fg = padded != 0
+        across = fg[:, :-2] & fg[:, 1:-1] & fg[:, 2:]
+        # Boundary cells: foreground cells with some 8-neighbor outside the foreground.
+        at = np.flatnonzero(fg[1:-1, 1:-1] & ~(across[:-2] & across[1:-1] & across[2:]))
+        rows, cols = divmod(at, width)
+        at += 2 * rows + width + 3  # the same cells in `padded`
+        ring = padded.ravel()
+        own = ring[at].astype(np.intp)
+        inside = np.stack([ring[at + dr * (width + 2) + dc] == own for dr, dc in _RING])
+        k = np.count_nonzero(inside[1::2], axis=0)  # the direct neighbors
+        self.classes = np.bincount(own * 5 + k, minlength=5 * (n + 1)).reshape(n + 1, 5)
+        runs = np.count_nonzero(inside & ~np.roll(inside, -1, axis=0), axis=0)
+        self.overlaps = np.bincount(own[runs >= 2], minlength=n + 1) > 0
+
+        wr, wc = divmod(np.flatnonzero(diagonal_pairs(fg[1:-1, 1:-1])), width - 1)
+        # Each row of a pair's window holds one cell of the pair beside a
+        # background cell, so the row's sum is that cell's label.
+        top = labels[wr, wc] + labels[wr, wc + 1]
+        shared = top == labels[wr + 1, wc] + labels[wr + 1, wc + 1]
+        # Thin points, then windows, each row-major: sorted stably by label.
+        thin = k < 2
+        faulty = np.concatenate([own[thin], top[shared]])
+        self._faults = np.stack([
+            np.repeat([0, 1], [np.count_nonzero(thin), np.count_nonzero(shared)]),
+            np.concatenate([rows[thin], wr[shared]]) + offset[0],
+            np.concatenate([cols[thin], wc[shared]]) + offset[1],
+        ])[:, np.argsort(faulty, kind="stable")]
+        counts = np.bincount(faulty, minlength=n + 1)
+        self._starts = np.concatenate(([0], np.cumsum(counts)))
+        self.valid = (counts == 0) & ~self.overlaps
+
+    def census(self, cid: int) -> CornerCensus:
+        k = self.classes[cid].tolist()
+        return CornerCensus(c2=k[2], c3=k[3], c4=k[4], boundary_total=sum(k))
+
+    def faults(self, cid: int) -> list[tuple[str, Point2]]:
+        """The thin points, then the pathological windows of `cid`, each row-major."""
+        kinds, rows, cols = self._faults[:, self._starts[cid] : self._starts[cid + 1]].tolist()
+        return [(_FAULTS[f], (r, c)) for f, r, c in zip(kinds, rows, cols)]
+
+
+def _image(shape, origin=(0, 0)) -> tuple[slice, slice]:
+    return tuple(slice(o, o + n) for o, n in zip(origin, shape))
 
 
 class ComponentContext:
     """One component cut out of its image, with the arrays its checks share.
 
-    `mask` is `crop`, the component's box of an `image_shape` image whose
-    first cell is at `origin`, grown by a background ring; a position in it
-    plus `offset` is the image position. The neighbor counts, boundary,
-    thin points and complement labeling are each computed on first read,
-    then shared by the census, the validity checks, contour tracing, the
-    hole oracle and 3D doubling. `trace_contours` keeps its result in `contours`.
+    `mask` is `crop`, the component's box in the `image` rows and columns
+    (two slices), whose first cell is at `origin`, grown by a background
+    ring; a position in it plus `offset` is the image position. Its census
+    and validity faults are row `cid` of `table`: for component `cid` of
+    `labels`, a `LabelMap`, the map's table, else the crop's own. The
+    neighbor counts, boundary and complement labeling are each computed on
+    first read, then shared by contour tracing, the hole oracle and 3D
+    doubling. `trace_contours` keeps its result in `contours`.
     """
 
-    def __init__(self, crop: np.ndarray, origin: tuple[int, int], image_shape: tuple[int, int]):
-        self.image_shape = image_shape
+    def __init__(self, crop: np.ndarray, origin: tuple[int, int], image, labels=None, cid=1):
+        self.image = image
         self.offset = (origin[0] - 1, origin[1] - 1)
         self.mask = _ringed(crop)
         self.area = int(self.mask.sum())
         self.contours = None
+        self.labels, self.cid = labels, cid
 
     @classmethod
     def of(cls, g: BinaryGrid | None, component) -> "ComponentContext":
@@ -155,7 +219,7 @@ class ComponentContext:
                 raise ValueError("component mask shape mismatch")
             mask = component.astype(bool, copy=False)
             window = (ndimage.find_objects(mask.view(np.uint8)) or [(slice(0, 0),) * 2])[0]
-            return cls(mask[window], (window[0].start, window[1].start), mask.shape)
+            return cls(mask[window], (window[0].start, window[1].start), _image(mask.shape))
         pts = np.array(list(component), dtype=np.intp).reshape(-1, 2)
         if g is not None:
             outside = ((pts < 0) | (pts >= g.cells.shape)).any(axis=1)
@@ -163,18 +227,28 @@ class ComponentContext:
                 p = tuple(pts[outside][0].tolist())
                 raise OutOfBoundsError(f"{p} outside {g.height}x{g.width} grid")
             if not pts.size:
-                return cls(np.zeros((0, 0), dtype=bool), (0, 0), g.cells.shape)
+                return cls(np.zeros((0, 0), dtype=bool), (0, 0), _image(g.cells.shape))
         low = pts.min(axis=0)
         crop = np.zeros(pts.max(axis=0) - low + 1, dtype=bool)
         crop[tuple((pts - low).T)] = True
-        return cls(crop, tuple(low.tolist()), crop.shape if g is None else g.cells.shape)
+        origin = tuple(low.tolist())
+        image = _image(crop.shape, origin) if g is None else _image(g.cells.shape)
+        return cls(crop, origin, image)
 
     @classmethod
     def of_label(cls, labels, component_id: int) -> "ComponentContext":
         """Context of one component of a `labeling.LabelMap`."""
         mask = labels.mask_of(component_id)
         window = labels.slices[component_id - 1]
-        return cls(mask[window], (window[0].start, window[1].start), mask.shape)
+        origin = (window[0].start, window[1].start)
+        return cls(mask[window], origin, _image(mask.shape), labels, component_id)
+
+    @cached_property
+    def table(self) -> ComponentTable:
+        """The table of its `LabelMap`, else of the crop read as one component."""
+        if self.labels is not None:
+            return self.labels.table
+        return ComponentTable(self.mask.view(np.uint8), 1, self.offset)
 
     @cached_property
     def counts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +261,8 @@ class ComponentContext:
     @cached_property
     def thin_points(self) -> list[Point2]:
         """Boundary points with fewer than 2 direct neighbors, row-major."""
-        return self.positions(self.boundary & (self.counts[0] < 2))
+        faults = self.table.faults(self.cid)
+        return [p for kind, p in faults if kind == ISOLATED_OR_THIN_POINT]
 
     @cached_property
     def complement(self) -> tuple[np.ndarray, int]:
@@ -196,7 +271,7 @@ class ComponentContext:
 
     @cached_property
     def census(self) -> CornerCensus:
-        return _census(self.counts[0], self.boundary)
+        return self.table.census(self.cid)
 
     def positions(self, cells: np.ndarray) -> list[Point2]:
         """Image positions of the True cells of a crop-shaped array, row-major."""
@@ -227,9 +302,7 @@ def classify_corners(g: BinaryGrid, component) -> CornerClassification:
     if not ctx.area:
         raise EmptyComponentError("census of an empty component")
     return CornerClassification(
-        census=ctx.census,
-        degenerate_points=tuple(ctx.thin_points),
-        crop=(ctx.boundary, ctx.counts[0], ctx.offset),
+        census=ctx.census, degenerate_points=tuple(ctx.thin_points), context=ctx
     )
 
 
@@ -242,13 +315,14 @@ def find_pathological(g: BinaryGrid, component) -> PathologyReport:
     box grown by one cell and clipped to the image.
     """
     ctx = ComponentContext.of(g, component)
+    faults = ctx.table.faults(ctx.cid)
+    windows = tuple(p for kind, p in faults if kind == PATHOLOGICAL_WINDOW)
     # Windows reaching outside the image hold a background pair, so they
     # never hit; they are only left out of the count.
-    windows = tuple(ctx.positions(diagonal_pairs(ctx.mask)))
     scanned = 1
-    for first, size, image_size in zip(ctx.offset, ctx.mask.shape, ctx.image_shape):
-        last = min(first + size - 2, image_size - 2)
-        scanned *= max(last - max(first, 0) + 1, 0)
+    for first, size, span in zip(ctx.offset, ctx.mask.shape, ctx.image):
+        last = min(first + size - 2, span.stop - 2)
+        scanned *= max(last - max(first, span.start) + 1, 0)
     return PathologyReport(windows=windows, clean=not windows, windows_scanned=scanned)
 
 
@@ -256,14 +330,17 @@ def validate_component(g: BinaryGrid, component) -> ValidityReport:
     """Check the simple-closed-curve hypothesis for one component.
 
     Valid means: no boundary point with fewer than 2 direct neighbors, no
-    pathological 2x2 window, and the traced contours partition the boundary
-    point set with no point shared between contours.
+    pathological 2x2 window, and no two contours meeting at a point (see
+    `ComponentTable`), so that the contours partition the boundary point set.
+    Reasons are the thin points, then the windows, each row-major; failing
+    neither, the first point the contour trace revisits. A set that is not
+    one 4-connected piece is traced too: its contours cannot partition its
+    boundary, and an empty one cannot be traced.
     """
     ctx = ComponentContext.of(g, component)
-    reasons = [(ISOLATED_OR_THIN_POINT, p) for p in ctx.thin_points]
-    reasons += [(PATHOLOGICAL_WINDOW, w) for w in find_pathological(g, ctx).windows]
-    if not reasons:
-        # Contour structure is only meaningful once the local checks pass.
+    reasons = ctx.table.faults(ctx.cid)
+    overlap = ctx.table.overlaps[ctx.cid]
+    if not reasons and (overlap or ctx.labels is None and label_mask(ctx.mask)[1] != 1):
         from .curves import trace_contours
 
         try:
@@ -278,11 +355,7 @@ def image_census(g: BinaryGrid) -> tuple[CornerCensus, int]:
 
     Classes are taken relative to the full foreground, so this equals the
     sum of per-component censuses. Returns the census and a pixel-touch
-    count: one read of each cell for itself plus one per 8-neighbor shift,
-    9 touches per pixel total.
+    count, an accounting model and not a measurement: one read of each
+    cell for itself plus one per 8-neighbor, 9 touches per pixel total.
     """
-    fg = g.cells
-    touches = fg.size  # self
-    direct, full = neighbor_counts(fg)
-    touches += 8 * fg.size  # one shifted read per neighbor direction
-    return _census(direct, fg & (full < 8)), touches
+    return ComponentTable(g.cells.view(np.uint8), 1).census(1), 9 * g.cells.size

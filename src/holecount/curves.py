@@ -199,7 +199,7 @@ def check_curve_lemma(points, interior=None) -> CurveLemmaResult:
     filled = ComponentContext.of(None, set(points) | set(map(tuple, given)))
     if interior is None:
         # Fill the curve: the regions it encloses are all but the unbounded one.
-        filled = ComponentContext(filled.complement[0] != 1, filled.offset, filled.image_shape)
+        filled = ComponentContext(filled.complement[0] != 1, filled.offset, filled.image)
     # The pathological diagonal patterns must not occur in the filled set.
     if not find_pathological(None, filled).clean:
         raise CurveError("pathological 2x2 window on the curve")

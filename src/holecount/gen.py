@@ -10,10 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corners import diagonal_pairs, validate_component
+from .corners import diagonal_pairs
 from .errors import GenError
 from .grid import BinaryGrid, grid_from_rows
-from .labeling import label_mask
+from .labeling import label_components
 
 RECT_WITH_HOLES = "rect_with_holes"
 RANDOM_BLOB = "random_blob"
@@ -243,9 +243,7 @@ def gen_random_blob(spec: ShapeSpec) -> BinaryGrid:
         except GenError:
             continue
         g = BinaryGrid(mask)
-        labels, n = label_mask(mask)
-        if n != 1:
-            continue
-        if validate_component(g, mask).valid:
+        labels = label_components(g)
+        if labels.component_count == 1 and labels.table.valid[1]:
             return g
     raise GenError(f"no valid blob for seed {spec.seed} within attempt cap")

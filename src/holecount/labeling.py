@@ -43,6 +43,13 @@ class LabelMap:
         """Bounding box of each component as two slices; id i at index i - 1."""
         return ndimage.find_objects(self.labels)
 
+    @cached_property
+    def table(self):
+        """Census and validity of every component, a `corners.ComponentTable`."""
+        from .corners import ComponentTable  # corners imports this module
+
+        return ComponentTable(self.labels, self.component_count)
+
     def points_of(self, component_id: int) -> frozenset[Point2]:
         return frozenset(map(tuple, np.argwhere(self.mask_of(component_id)).tolist()))
 

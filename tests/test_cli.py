@@ -37,6 +37,15 @@ def test_analyze_json_matrix7(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "text", ["000\n000\n", _M7.strip() + "\n", "1101\n0001\n1111\n", "11\n00\n11\n"]
+)
+def test_analyze_json_is_laid_out_as_indent_2(tmp_path, capsys, text):
+    code, out, _ = run_cli(capsys, "analyze", write(tmp_path, "g.txt", text))
+    assert code in (cli.EXIT_OK, cli.EXIT_DISAGREEMENT)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_analyze_text_overlay_reproduces_annotations(tmp_path, capsys):
     path = write(tmp_path, "m5.txt", _M5.strip() + "\n")
     code, out, _ = run_cli(capsys, "analyze", path, "--output", "text")

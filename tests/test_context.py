@@ -9,6 +9,7 @@ and a contour trace over the whole padded image, and a complement labeling
 of the whole padded image.
 """
 
+import json
 import sys
 
 import numpy as np
@@ -173,6 +174,100 @@ def test_crop_path_matches_full_image_reference(g):
                 assert [(ct.kind, list(ct.points), ct.enclosed_region) for ct in traced] == contours
 
 
+@st.composite
+def smooth_grids(draw):
+    """Mostly valid shapes: noise opened, closed or median-smoothed, or
+    holed rectangles chained so that each touches the one before at a
+    single main- or anti-diagonal contact, where reading plain foreground
+    instead of labels goes wrong."""
+    kind = draw(st.sampled_from(["open", "close", "median", "rects"]))
+    if kind != "rects":
+        noise = draw(arrays(bool, st.tuples(st.integers(2, 14), st.integers(2, 14))))
+        noise = np.kron(noise, np.ones((draw(st.integers(1, 2)),) * 2, dtype=bool))
+        square = np.ones((2, 2), dtype=bool)
+        if kind == "open":
+            cells = ndimage.binary_opening(noise, square)
+        elif kind == "close":
+            cells = ndimage.binary_closing(noise, square)
+        else:
+            cells = ndimage.median_filter(noise.view(np.uint8), size=3).astype(bool)
+        return hc.BinaryGrid(np.pad(cells, draw(st.integers(0, 1))))
+    arr = np.zeros((32, 64), dtype=bool)
+    r, left, w = 1, 30, 0
+    for _ in range(draw(st.integers(2, 4))):
+        h, width = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+        # Below and right of the last one's bottom right cell, or below and
+        # left of its bottom left cell.
+        left, w = (left + w if draw(st.booleans()) else left - width), width
+        arr[r : r + h, left : left + w] = True
+        if h > 4 and w > 4 and draw(st.booleans()):
+            arr[r + 2 : r + h - 2, left + 2 : left + w - 2] = False
+        r += h
+    return hc.BinaryGrid(arr)
+
+
+def euler_holes(mask):
+    """1 - chi, chi = pixels - horizontal pairs - vertical pairs + 2x2 blocks."""
+    m = mask.astype(int)
+    pairs = (m[:, :-1] * m[:, 1:]).sum() + (m[:-1] * m[1:]).sum()
+    blocks = (m[:-1, :-1] * m[:-1, 1:] * m[1:, :-1] * m[1:, 1:]).sum()
+    return 1 - (m.sum() - pairs + blocks)
+
+
+RINGS = [
+    "11111100000000",
+    "11111100000000",
+    "11001100000000",
+    "11001100000000",
+    "11111100000000",
+    "11111100000000",
+    "00000011111100",
+    "00000011111100",
+    "00000011001100",
+    "00000011001100",
+    "00000011111100",
+    "00000011111100",
+]
+
+
+# The ring's bottom right corner touches the L's foot; the L has the
+# smaller label though the contact is at its top.
+L_CONTACT = [
+    "000000000011",
+    "011111100011",
+    "011111100011",
+    "011001100011",
+    "011001100011",
+    "011111100011",
+    "011111100011",
+    "000000011111",
+    "000000011111",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(smooth_grids())
+@example(hc.grid_from_rows(RINGS))
+@example(hc.grid_from_rows(L_CONTACT))
+@example(hc.grid_from_rows(["111000", "111000", "111000", "000111", "000101", "000111"]))
+@example(hc.grid_from_rows(["1100", "1100", "0010"]))
+def test_table_matches_each_component_alone(g):
+    labels = hc.label_components(g)
+    table = labels.table
+    for cid, (record, reasons, classes, _) in enumerate(reference(g), start=1):
+        mask = labels.mask_of(cid)
+        census = table.census(cid)
+        assert census == hc.classify_corners(g, mask).census
+        assert (census.c2, census.c3, census.c4) == (record["c2"], record["c3"], record["c4"])
+        assert census.boundary_total == len(classes)
+        alone = hc.validate_component(g, mask)
+        assert hc.validate_component(g, corners.ComponentContext.of_label(labels, cid)) == alone
+        assert list(alone.reasons) == reasons
+        assert bool(table.valid[cid]) == alone.valid
+        if alone.valid:
+            assert euler_holes(mask) == record["holes_oracle"]
+
+
 def write_grid(tmp_path, g):
     path = tmp_path / "grid.txt"
     path.write_text(hc.to_ascii01(g))
@@ -187,8 +282,6 @@ def write_grid(tmp_path, g):
     ],
 )
 def test_cli_curves_points_match_reference(tmp_path, capsys, g):
-    import json
-
     assert cli.main(["curves", write_grid(tmp_path, g)]) == cli.EXIT_OK
     (entry,) = json.loads(capsys.readouterr().out)
     (_, _, _, contours) = reference(g)[0]
@@ -225,16 +318,47 @@ def tile(k_rows, k_cols):
     return hc.BinaryGrid(arr)
 
 
+def count_work(monkeypatch):
+    """Calls of the per-component steps that a valid component skips when
+    its census and validity come from the image's table."""
+    return {
+        "neighbor_counts": count_calls(monkeypatch, corners, "neighbor_counts"),
+        "diagonal_pairs": count_calls(monkeypatch, corners, "diagonal_pairs"),
+        "_positions": count_calls(monkeypatch, corners, "_positions"),
+        "trace_contours": count_calls(monkeypatch, curves, "trace_contours"),
+    }
+
+
+def image_work(work):
+    return {name: [args[0].size for args in calls] for name, calls in work.items()}
+
+
 def test_analyze_work_grows_with_crops(monkeypatch):
+    """One table pass over the image gives every census and validity; per
+    component only the oracle labels the complement of its crop."""
     g = tile(4, 5)
     k = 20
-    counted = count_calls(monkeypatch, corners, "neighbor_counts")
+    work = count_work(monkeypatch)
     labeled = count_calls(monkeypatch, labeling, "label_mask")
     reports = hc.analyze_image(g)
     assert len(reports) == k and all(rep.agreement for rep in reports)
+    once = [g.cells.size]
+    assert image_work(work) == {
+        "neighbor_counts": [], "diagonal_pairs": once, "_positions": [], "trace_contours": []
+    }
     crop = 12 * 12  # each 10 x 10 rectangle plus its background ring
-    assert [mask.size for mask, in counted] == [crop] * k
     assert [mask.size for mask, in labeled] == [g.cells.size] + [crop] * k
+
+
+def test_genus3d_reads_validity_from_the_table(tmp_path, capsys, monkeypatch):
+    g = tile(3, 4)
+    work = count_work(monkeypatch)
+    assert cli.main(["genus3d", write_grid(tmp_path, g)]) == cli.EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)) == 12
+    once = [g.cells.size]
+    assert image_work(work) == {
+        "neighbor_counts": [], "diagonal_pairs": once, "_positions": [], "trace_contours": []
+    }
 
 
 def test_curves_traces_each_component_once(tmp_path, capsys, monkeypatch):
@@ -246,15 +370,18 @@ def test_curves_traces_each_component_once(tmp_path, capsys, monkeypatch):
 
 
 def test_thin_points_are_decoded_once(monkeypatch):
-    """Per component one decode of the thin points, which the census, the
-    validity reasons and the tracer share, and one of the pathological
-    windows."""
+    """The thin points and pathological windows of every component come
+    from the image's table, sorted by label once: no component decodes its
+    own."""
     k = 5
     g = hc.grid_from_rows(["0" * 16, "0" + "110" * k, "0" * 16])
     decoded = count_calls(monkeypatch, corners, "_positions")
     reports = hc.analyze_image(g)
-    assert len(reports) == k and not any(rep.validity.valid for rep in reports)
-    assert len(decoded) == 2 * k
+    assert [rep.validity.reasons for rep in reports] == [
+        ((ISOLATED_OR_THIN_POINT, (1, 3 * i + 1)), (ISOLATED_OR_THIN_POINT, (1, 3 * i + 2)))
+        for i in range(k)
+    ]
+    assert len(decoded) == 0
 
 
 def test_context_arrays_are_cropped():

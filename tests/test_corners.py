@@ -56,6 +56,12 @@ def test_boundary_empty_component_raises(m5):
         hc.boundary_points(m5, set())
 
 
+@pytest.mark.parametrize("empty", [set(), np.zeros((8, 8), dtype=bool)])
+def test_validate_empty_component_raises(m5, empty):
+    with pytest.raises(EmptyComponentError):
+        hc.validate_component(m5, empty)
+
+
 def test_census_matrix5(m5):
     census = hc.classify_corners(m5, m5.foreground_points()).census
     assert (census.c2, census.c4) == (8, 4)
@@ -141,6 +147,16 @@ def test_pathological_scan_visits_each_window_once(m5):
     report = hc.find_pathological(m5, m5.foreground_points())
     # Foreground spans rows 1..6, cols 1..5: top-left corners 0..6 x 0..5.
     assert report.windows_scanned == 7 * 6
+
+
+@pytest.mark.parametrize("corner", [(0, 0), (5, 5), (3, 8)])
+def test_pathological_scan_without_grid_is_the_bounding_box(corner):
+    # With no grid the points' bounding box is the image, wherever it sits.
+    r, c = corner
+    square = {(r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)}
+    assert hc.find_pathological(None, square).windows_scanned == 1
+    bar = {(r, c + j) for j in range(4)}
+    assert hc.find_pathological(None, bar).windows_scanned == 0
 
 
 def test_validate_domino_thin():

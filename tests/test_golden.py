@@ -3,7 +3,9 @@
 Each case pins the exit code and the sha256 of stdout and of stderr, so a
 change to the per-component path that alters any printed byte fails here.
 The inputs cover one large valid component, many small ones, invalid noise
-next to a valid component, and a component touching the image border.
+next to a valid component, a component touching the image border, and
+components that touch only diagonally: valid holed rings, and a valid
+rectangle next to a thin bar or next to a ring whose contours overlap.
 """
 
 import hashlib
@@ -41,12 +43,55 @@ def border_shape():
     return hc.gen_rect_with_holes(hc.random_rect_spec(2, (12, 16), 2))
 
 
+def ring(arr, top, left):
+    """A 6 x 6 square with a 2 x 2 hole, first cell at (top, left)."""
+    arr[top : top + 6, left : left + 6] = True
+    arr[top + 2 : top + 4, left + 2 : left + 4] = False
+
+
+def diagonal_rings():
+    """Four valid holed rings and a valid L, touching only diagonally: the
+    ring at (7, 7) touches the one at (1, 1) at a main-diagonal contact and
+    the one at (1, 13) at an anti-diagonal one; the ring at (5, 21) touches
+    the foot of the L, which has the smaller label though it lies below."""
+    arr = np.zeros((14, 33), dtype=bool)
+    ring(arr, 1, 1)
+    ring(arr, 7, 7)
+    ring(arr, 1, 13)
+    ring(arr, 5, 21)
+    arr[0:13, 30:32] = True
+    arr[11:13, 27:32] = True
+    return hc.BinaryGrid(arr)
+
+
+def rect_touching_thin():
+    """A valid rectangle with 2 holes; a 1-wide bar touches its lower right
+    corner diagonally."""
+    arr = np.zeros((14, 16), dtype=bool)
+    arr[1:11, 1:13] = hc.gen_rect_with_holes(hc.random_rect_spec(5, (10, 12), 2)).cells
+    arr[11, 13:16] = True
+    return hc.BinaryGrid(arr)
+
+
+def rect_touching_overlap():
+    """A valid rectangle with 1 hole; a 1-wide ring, whose only fault is its
+    overlapping contours, touches its lower right corner diagonally."""
+    arr = np.zeros((13, 13), dtype=bool)
+    arr[1:9, 1:9] = hc.gen_rect_with_holes(hc.random_rect_spec(6, (8, 8), 1)).cells
+    arr[9:12, 9:12] = True
+    arr[10, 10] = False
+    return hc.BinaryGrid(arr)
+
+
 INPUTS = {
     "blob1": lambda: blob(1),
     "blob7": lambda: blob(7),
     "tile": rect_tile,
     "noise": noise_below_rect,
     "border": border_shape,
+    "rings": diagonal_rings,
+    "thin": rect_touching_thin,
+    "overlap": rect_touching_overlap,
 }
 COMMANDS = {
     "analyze": ["analyze"],
@@ -88,6 +133,24 @@ GOLDEN = {
     ('border', 'nooracle'): (0, '83e837d9216eb9a5', 'e3b0c44298fc1c14'),
     ('border', 'curves'): (0, 'e1640d1397bdccdb', 'e3b0c44298fc1c14'),
     ('border', 'genus3d'): (0, 'a9433d66faacf97d', 'e3b0c44298fc1c14'),
+    ('rings', 'analyze'): (0, '7a329f3b38f48c07', 'e3b0c44298fc1c14'),
+    ('rings', 'text'): (0, '8987fed56e92f73a', 'e3b0c44298fc1c14'),
+    ('rings', 'novalidate'): (0, 'b38020583ceba57d', 'e3b0c44298fc1c14'),
+    ('rings', 'nooracle'): (0, 'c90a4bf03e6f368a', 'e3b0c44298fc1c14'),
+    ('rings', 'curves'): (0, '88ebd970e2bf5ee9', 'e3b0c44298fc1c14'),
+    ('rings', 'genus3d'): (0, 'bc4092f97ad22270', 'e3b0c44298fc1c14'),
+    ('thin', 'analyze'): (0, '2a905b5707e80eb7', 'e3b0c44298fc1c14'),
+    ('thin', 'text'): (0, '4d52390f81d82ae0', 'e3b0c44298fc1c14'),
+    ('thin', 'novalidate'): (0, 'ff604801920aa17f', 'e3b0c44298fc1c14'),
+    ('thin', 'nooracle'): (0, '84061a106325395a', 'e3b0c44298fc1c14'),
+    ('thin', 'curves'): (1, 'e3b0c44298fc1c14', 'ae452b448a467f71'),
+    ('thin', 'genus3d'): (1, 'e3b0c44298fc1c14', 'ae452b448a467f71'),
+    ('overlap', 'analyze'): (0, 'a0bc25590a45f64c', 'e3b0c44298fc1c14'),
+    ('overlap', 'text'): (0, 'adfe210623c2b1e7', 'e3b0c44298fc1c14'),
+    ('overlap', 'novalidate'): (2, '5b373ed1d5140913', 'e3b0c44298fc1c14'),
+    ('overlap', 'nooracle'): (0, '7f3630d1c1dc9f08', 'e3b0c44298fc1c14'),
+    ('overlap', 'curves'): (1, 'e3b0c44298fc1c14', 'ac9ba2df8acae681'),
+    ('overlap', 'genus3d'): (1, 'e3b0c44298fc1c14', 'ac9ba2df8acae681'),
 }
 
 
