@@ -49,11 +49,9 @@ def render_annotations(g: grid.BinaryGrid, reports) -> str:
     1 for other component points, 0 for background."""
     canvas = g.cells.view(np.uint8) + ord("0")
     for rep in reports:
-        classes = rep.classification.classes
-        points = np.array(list(classes), dtype=np.intp).reshape(-1, 2)
-        k = np.fromiter(classes.values(), dtype=np.uint8, count=len(classes))
-        corner = (k == 2) | (k == 4)
-        canvas[points[corner, 0], points[corner, 1]] = k[corner] + ord("0")
+        ctx = rep.classification.context
+        rows, cols = np.nonzero(ctx.boundary & ((ctx.direct == 2) | (ctx.direct == 4)))
+        canvas[rows + ctx.origin[0], cols + ctx.origin[1]] = ctx.direct[rows, cols] + ord("0")
     return grid.text_rows(canvas)[:-1]
 
 

@@ -59,7 +59,7 @@ class CornerClassification:
     @cached_property
     def classes(self) -> dict[Point2, int]:
         ctx = self.context
-        return dict(zip(ctx.positions(ctx.boundary), ctx.counts[0][ctx.boundary].tolist()))
+        return dict(zip(_positions(ctx.boundary, ctx.origin), ctx.direct[ctx.boundary].tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, CornerClassification):
@@ -84,11 +84,6 @@ class ValidityReport:
     reasons: tuple[tuple[str, Point2], ...]
 
 
-def _shifted(padded: np.ndarray, dr: int, dc: int, shape) -> np.ndarray:
-    h, w = shape
-    return padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-
-
 def _ringed(mask: np.ndarray) -> np.ndarray:
     """The mask in a one-cell background ring; np.pad costs ~10x more here."""
     out = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=mask.dtype)
@@ -105,13 +100,13 @@ def diagonal_pairs(m: np.ndarray) -> np.ndarray:
 
 def neighbor_counts(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell counts of direct and of all 8 neighbors inside the mask."""
-    padded = _ringed(mask)
+    (h, w), padded = mask.shape, _ringed(mask).view(np.int8)  # adds without casts
     direct = np.zeros(mask.shape, dtype=np.int8)
     for dr, dc in DIRECT_OFFSETS:
-        direct += _shifted(padded, dr, dc, mask.shape)
+        direct += padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
     full = direct.copy()
     for dr, dc in DIAGONAL_OFFSETS:
-        full += _shifted(padded, dr, dc, mask.shape)
+        full += padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
     return direct, full
 
 
@@ -123,36 +118,37 @@ class ComponentTable:
     """Corner census and validity of every component of a label image.
 
     `labels` numbers the components 1..n so that 4-adjacent foreground cells
-    share a label; a set read as one component is all label 1. Boundary
-    cells (with some 8-neighbor outside the foreground, so outside their
-    component) come from bool passes over the foreground. Only they read
-    labels, in their 8-ring: the direct neighbors of their own label give
-    their class, and 2 or more runs of other labels around the ring are an
-    overlap, where two contours would meet (a crossing number: Yokoi et al.,
-    CGIP 1975). A diagonal pair of one label is a pathological window. With
-    no thin point and no window a component is well-composed (Latecki et
-    al., CVIU 1995); `valid` adds no overlap. Positions are `labels`' plus
-    `offset`.
+    share a label; a set read as one component is all label 1. `direct` and
+    `boundary` come from the foreground's `neighbor_counts`: foreground
+    direct neighbors carry a cell's own label, and so do 8 foreground
+    neighbors. Only boundary cells read labels, in their 8-ring: 2 or more
+    runs of other labels around it are an overlap, where two contours would
+    meet (a crossing number: Yokoi et al., CGIP 1975). A diagonal pair of
+    one label is a pathological window. With no thin point and no window a
+    component is well-composed (Latecki et al., CVIU 1995); `valid` adds no
+    overlap. Positions are `labels`' plus `offset`.
     """
 
     def __init__(self, labels: np.ndarray, n: int, offset: tuple[int, int] = (0, 0)):
-        width = labels.shape[1]
-        padded = _ringed(labels)
-        fg = padded != 0
-        across = fg[:, :-2] & fg[:, 1:-1] & fg[:, 2:]
-        # Boundary cells: foreground cells with some 8-neighbor outside the foreground.
-        at = np.flatnonzero(fg[1:-1, 1:-1] & ~(across[:-2] & across[1:-1] & across[2:]))
+        height, width = labels.shape
+        self.offset = offset
+        fg = labels != 0
+        self.direct, full = neighbor_counts(fg)
+        self.boundary = fg & (full < 8)
+        at = np.flatnonzero(self.boundary)
+        k = self.direct.ravel()[at]
         rows, cols = divmod(at, width)
-        at += 2 * rows + width + 3  # the same cells in `padded`
-        ring = padded.ravel()
-        own = ring[at].astype(np.intp)
-        inside = np.stack([ring[at + dr * (width + 2) + dc] == own for dr, dc in _RING])
-        k = np.count_nonzero(inside[1::2], axis=0)  # the direct neighbors
+        flat = labels.ravel()
+        own = flat[at].astype(np.intp)
+        # Per row and column step, whether the ring cell is in the image; off it, reads are clipped.
+        fits = {-1: (rows > 0, cols > 0), 0: (True, True), 1: (rows < height - 1, cols < width - 1)}
+        ring = [flat.take(at + dr * width + dc, mode="clip") == own for dr, dc in _RING]
+        inside = np.stack([r & fits[dr][0] & fits[dc][1] for r, (dr, dc) in zip(ring, _RING)])
         self.classes = np.bincount(own * 5 + k, minlength=5 * (n + 1)).reshape(n + 1, 5)
         runs = np.count_nonzero(inside & ~np.roll(inside, -1, axis=0), axis=0)
         self.overlaps = np.bincount(own[runs >= 2], minlength=n + 1) > 0
 
-        wr, wc = divmod(np.flatnonzero(diagonal_pairs(fg[1:-1, 1:-1])), width - 1)
+        wr, wc = divmod(np.flatnonzero(diagonal_pairs(fg)), width - 1)
         # Each row of a pair's window holds one cell of the pair beside a
         # background cell, so the row's sum is that cell's label.
         top = labels[wr, wc] + labels[wr, wc + 1]
@@ -188,16 +184,16 @@ class ComponentContext:
 
     `mask` is `crop`, the component's box in the `image` rows and columns
     (two slices), whose first cell is at `origin`, grown by a background
-    ring; a position in it plus `offset` is the image position. Its census
-    and validity faults are row `cid` of `table`: for component `cid` of
-    `labels`, a `LabelMap`, the map's table, else the crop's own. The
-    neighbor counts, boundary and complement labeling are each computed on
-    first read, then shared by contour tracing, the hole oracle and 3D
-    doubling. `trace_contours` keeps its result in `contours`.
+    ring; a position in it plus `offset` is the image position. `table` is
+    the table of `labels`, a `LabelMap` (`cid` is its row), else the crop's
+    own; `direct` and `boundary` are cut from it at the crop, with no ring.
+    These and the complement labeling are computed on first read and shared.
+    `trace_contours` keeps its result in `contours`.
     """
 
     def __init__(self, crop: np.ndarray, origin: tuple[int, int], image, labels=None, cid=1):
         self.image = image
+        self.origin = origin
         self.offset = (origin[0] - 1, origin[1] - 1)
         self.mask = _ringed(crop)
         self.area = int(self.mask.sum())
@@ -248,21 +244,27 @@ class ComponentContext:
         """The table of its `LabelMap`, else of the crop read as one component."""
         if self.labels is not None:
             return self.labels.table
-        return ComponentTable(self.mask.view(np.uint8), 1, self.offset)
+        return ComponentTable(self.mask[1:-1, 1:-1].view(np.uint8), 1, self.origin)
 
     @cached_property
-    def counts(self) -> tuple[np.ndarray, np.ndarray]:
-        return neighbor_counts(self.mask)
+    def window(self) -> tuple[slice, slice]:
+        """The crop's cells in the arrays of `table`."""
+        return _image(self.mask[1:-1, 1:-1].shape, np.subtract(self.origin, self.table.offset))
+
+    @cached_property
+    def direct(self) -> np.ndarray:
+        """Each cell's direct neighbors in its own component; read at this one's cells."""
+        return self.table.direct[self.window]
 
     @cached_property
     def boundary(self) -> np.ndarray:
-        return self.mask & (self.counts[1] < 8)
+        # Other components may lie in the box: only its own cells count.
+        return self.table.boundary[self.window] & self.mask[1:-1, 1:-1]
 
     @cached_property
     def thin_points(self) -> list[Point2]:
         """Boundary points with fewer than 2 direct neighbors, row-major."""
-        faults = self.table.faults(self.cid)
-        return [p for kind, p in faults if kind == ISOLATED_OR_THIN_POINT]
+        return [p for kind, p in self.table.faults(self.cid) if kind == ISOLATED_OR_THIN_POINT]
 
     @cached_property
     def complement(self) -> tuple[np.ndarray, int]:
@@ -274,7 +276,7 @@ class ComponentContext:
         return self.table.census(self.cid)
 
     def positions(self, cells: np.ndarray) -> list[Point2]:
-        """Image positions of the True cells of a crop-shaped array, row-major."""
+        """Image positions of the True cells of a `mask`-shaped array, row-major."""
         return _positions(cells, self.offset)
 
 
@@ -288,7 +290,7 @@ def boundary_points(g: BinaryGrid, component) -> frozenset[Point2]:
     ctx = ComponentContext.of(g, component)
     if not ctx.area:
         raise EmptyComponentError("boundary of an empty component")
-    return frozenset(ctx.positions(ctx.boundary))
+    return frozenset(_positions(ctx.boundary, ctx.origin))
 
 
 def classify_corners(g: BinaryGrid, component) -> CornerClassification:

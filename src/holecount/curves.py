@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy import ndimage
 
-from .corners import ComponentContext, find_pathological
+from .corners import ComponentContext, _positions, find_pathological
 from .errors import (
     ContourOverlapError,
     CurveError,
@@ -152,9 +152,9 @@ def trace_contours(g: BinaryGrid, component) -> tuple[Contour, ...]:
         again[firsts] = False
         r, c = walked[int(np.argmax(again))].tolist()
         raise ContourOverlapError((r + r0, c + c0))
-    mismatch = traced ^ ctx.boundary
+    mismatch = traced[1:-1, 1:-1] ^ ctx.boundary
     if mismatch.any():
-        raise ContourOverlapError(ctx.positions(mismatch)[0])
+        raise ContourOverlapError(_positions(mismatch, ctx.origin)[0])
 
     ctx.contours = tuple(
         Contour(
@@ -170,13 +170,13 @@ def trace_contours(g: BinaryGrid, component) -> tuple[Contour, ...]:
 def curve_census(g: BinaryGrid, component, contour: Contour) -> CurveCensus:
     """Component-relative class counts over one contour's points."""
     ctx = ComponentContext.of(g, component)
-    pts = np.array(contour.points, dtype=np.intp).reshape(-1, 2) - ctx.offset
-    inside = ((pts >= 0) & (pts < ctx.mask.shape)).all(axis=1)
-    inside[inside] = ctx.mask[pts[inside, 0], pts[inside, 1]]
+    pts = np.array(contour.points, dtype=np.intp).reshape(-1, 2) - ctx.origin
+    inside = ((pts >= 0) & (pts < ctx.direct.shape)).all(axis=1)
+    inside[inside] = ctx.mask[1:-1, 1:-1][pts[inside, 0], pts[inside, 1]]
     if not inside.all():
         p = contour.points[int(np.argmin(inside))]
         raise ValueError(f"contour point {p} not in component")
-    k = np.bincount(ctx.counts[0][pts[:, 0], pts[:, 1]], minlength=5)
+    k = np.bincount(ctx.direct[pts[:, 0], pts[:, 1]], minlength=5)
     return CurveCensus(cp2=int(k[2]), cp3=int(k[3]), cp4=int(k[4]))
 
 
@@ -203,7 +203,7 @@ def check_curve_lemma(points, interior=None) -> CurveLemmaResult:
     # The pathological diagonal patterns must not occur in the filled set.
     if not find_pathological(None, filled).clean:
         raise CurveError("pathological 2x2 window on the curve")
-    k = np.bincount(filled.counts[0][tuple((np.array(points) - filled.offset).T)], minlength=5)
+    k = np.bincount(filled.direct[tuple((np.array(points) - filled.origin).T)], minlength=5)
     if k[0] or k[1]:
         raise CurveError("curve point with fewer than 2 neighbors in the filled set")
     return CurveLemmaResult(

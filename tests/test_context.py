@@ -251,6 +251,8 @@ L_CONTACT = [
 @example(hc.grid_from_rows(L_CONTACT))
 @example(hc.grid_from_rows(["111000", "111000", "111000", "000111", "000101", "000111"]))
 @example(hc.grid_from_rows(["1100", "1100", "0010"]))
+@example(hc.grid_from_rows(NESTED))
+@example(hc.grid_from_rows(["111", "101", "111"]))
 def test_table_matches_each_component_alone(g):
     labels = hc.label_components(g)
     table = labels.table
@@ -266,6 +268,14 @@ def test_table_matches_each_component_alone(g):
         assert bool(table.valid[cid]) == alone.valid
         if alone.valid:
             assert euler_holes(mask) == record["holes_oracle"]
+        # The label context's counts and boundary, cut from the image's table.
+        ctx = corners.ComponentContext.of_label(labels, cid)
+        window = labels.slices[cid - 1]
+        direct, full = ref_counts(mask)
+        own = mask[window]
+        assert np.array_equal(ctx.direct[own], direct[window][own])
+        assert np.array_equal(ctx.boundary, (mask & (full < 8))[window])
+        assert hc.classify_corners(g, ctx).classes == classes
 
 
 def write_grid(tmp_path, g):
@@ -344,7 +354,7 @@ def test_analyze_work_grows_with_crops(monkeypatch):
     assert len(reports) == k and all(rep.agreement for rep in reports)
     once = [g.cells.size]
     assert image_work(work) == {
-        "neighbor_counts": [], "diagonal_pairs": once, "_positions": [], "trace_contours": []
+        "neighbor_counts": once, "diagonal_pairs": once, "_positions": [], "trace_contours": []
     }
     crop = 12 * 12  # each 10 x 10 rectangle plus its background ring
     assert [mask.size for mask, in labeled] == [g.cells.size] + [crop] * k
@@ -357,16 +367,20 @@ def test_genus3d_reads_validity_from_the_table(tmp_path, capsys, monkeypatch):
     assert len(json.loads(capsys.readouterr().out)) == 12
     once = [g.cells.size]
     assert image_work(work) == {
-        "neighbor_counts": [], "diagonal_pairs": once, "_positions": [], "trace_contours": []
+        "neighbor_counts": once, "diagonal_pairs": once, "_positions": [], "trace_contours": []
     }
 
 
 def test_curves_traces_each_component_once(tmp_path, capsys, monkeypatch):
+    """The partition check and the per-contour classes read the image's
+    table: no component counts its own neighbors."""
     g = tile(3, 4)
     traced = count_calls(monkeypatch, curves, "trace_contours")
+    counted = count_calls(monkeypatch, corners, "neighbor_counts")
     assert cli.main(["curves", write_grid(tmp_path, g)]) == cli.EXIT_OK
     capsys.readouterr()
     assert len(traced) == 12
+    assert [mask.size for mask, in counted] == [g.cells.size]
 
 
 def test_thin_points_are_decoded_once(monkeypatch):
