@@ -61,7 +61,7 @@ def cmd_analyze(args) -> int:
         g, run_oracle=args.oracle == "on", run_validation=args.validate == "on"
     )
     if args.output == "json":
-        print(_flat_json([rep.to_dict() for rep in reports]))
+        print(_to_json([rep.to_dict() for rep in reports]))
     else:
         print(render_annotations(g, reports))
         for rep in reports:
@@ -73,31 +73,22 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _flat_json(entries: list[dict]) -> str:
-    """`json.dumps(entries, indent=2)` of flat dicts of the same keys, C-encoded."""
-    if not entries:
-        return "[]"
-    block = "  {\n" + ",\n".join(f"    {json.dumps(key)}: %s" for key in entries[0]) + "\n  }"
-    values = json.dumps([v for e in entries for v in e.values()])[1:-1].split(", ")
-    return "[\n" + ",\n".join([block] * len(entries)) % tuple(values) + "\n]"
-
-
 def _each_valid_component(args, entry_of) -> int:
-    """Print `entry_of(g, cid, ctx) -> (entry, holds)` of every component as
-    JSON. Stops with EXIT_INPUT at the first invalid component, naming its
+    """Print `entry_of(g, labels, cid) -> (entry, holds)` of every component
+    as JSON. Stops with EXIT_INPUT at the first invalid component, naming its
     reasons; exits EXIT_DISAGREEMENT when some entry's identities fail."""
     g = _read_grid(args)
     labels = label_components(g, "foreground")
     out, all_hold = [], True
     for cid in range(1, labels.component_count + 1):
-        ctx = corners.ComponentContext.of_label(labels, cid)
-        validity = corners.validate_component(g, ctx)
-        if not validity.valid:
-            for kind, p in validity.reasons:
-                print(f"component {cid} invalid: {kind} at {p}", file=sys.stderr)
-            return EXIT_INPUT
+        if not labels.table.valid[cid]:
+            validity = corners.validate_component(g, corners.ComponentContext.of_label(labels, cid))
+            if not validity.valid:
+                for kind, p in validity.reasons:
+                    print(f"component {cid} invalid: {kind} at {p}", file=sys.stderr)
+                return EXIT_INPUT
         try:
-            entry, holds = entry_of(g, cid, ctx)
+            entry, holds = entry_of(g, labels, cid)
         except HolecountError as exc:
             print(f"component {cid}: {exc}", file=sys.stderr)
             return EXIT_INPUT
@@ -111,18 +102,55 @@ def _each_valid_component(args, entry_of) -> int:
 # the top list > an entry > "contours" > a contour > "points".
 _POINT = "[\n            %d,\n            %d\n          ]"
 _POINTS_MARK = "@points"
+_NESTED = {dict, list}
+
+
+def _shape(value, leaves: list):
+    """What the indent=2 layout of a JSON value depends on: the keys of its
+    dicts and the lengths of its lists. Its scalars and empty containers
+    are appended to `leaves`, in the order they are written."""
+    if type(value) is dict and value:
+        if _NESTED.isdisjoint(map(type, value.values())):
+            leaves.extend(value.values())
+            return tuple(value)
+        return tuple((key, _shape(v, leaves)) for key, v in value.items())
+    if type(value) is list and value:
+        return (None, *[_shape(v, leaves) for v in value])
+    leaves.append(value)
+    return None
+
+
+def _template(shape, pad: str) -> str:
+    """The indent=2 layout of a value of that shape at the indent of `pad`,
+    with %s for each leaf."""
+    if shape is None:
+        return "%s"
+    inner = pad + "  "
+    if shape[0] is None:  # a list
+        return "[" + ",".join([inner + _template(s, inner) for s in shape[1:]]) + pad + "]"
+    items = [(key, None) if type(key) is str else key for key in shape]
+    return "{" + ",".join([f"{inner}{json.dumps(k)}: {_template(s, inner)}" for k, s in items]) + pad + "}"
 
 
 def _to_json(entries: list[dict]) -> str:
-    """`json.dumps(entries, indent=2)`, with every contour's points laid out
-    by `_POINT` (and replaced in `entries` by a mark): indent= forces the
-    pure-Python encoder, which would visit every coordinate."""
-    points = []
+    """`json.dumps(entries, indent=2)`, which would run the pure-Python
+    encoder over every value: each entry is laid out by the template of its
+    shape, with every leaf encoded in one C-encoded `json.dumps` call, and
+    every contour's points (replaced in `entries` by a mark) by `_POINT`."""
+    if not entries:
+        return "[]"
+    points, leaves, templates, layout = [], [], {}, []
     for entry in entries:
         for contour in entry.get("contours", ()):
             points.append(contour["points"])
             contour["points"] = _POINTS_MARK
-    parts = json.dumps(entries, indent=2).split(f'"{_POINTS_MARK}"')
+        shape = _shape(entry, leaves)
+        if shape not in templates:
+            templates[shape] = _template(shape, "\n  ")
+        layout.append(templates[shape])
+    # An encoded leaf holds no raw newline, so newlines can separate them.
+    values = json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n")
+    parts = (("[\n  " + ",\n  ".join(layout) + "\n]") % tuple(values)).split(f'"{_POINTS_MARK}"')
     out = [parts[0]]
     for pts, part in zip(points, parts[1:]):
         body = ",\n          ".join(map(_POINT.__mod__, pts))
@@ -130,7 +158,8 @@ def _to_json(entries: list[dict]) -> str:
     return "".join(out)
 
 
-def _curves_entry(g, cid, ctx) -> tuple[dict, bool]:
+def _curves_entry(g, labels, cid) -> tuple[dict, bool]:
+    ctx = corners.ComponentContext.of_label(labels, cid)
     acct = curves.second_proof_accounting(g, ctx)
     entry = {
         "component_id": cid,
@@ -153,12 +182,21 @@ def _curves_entry(g, cid, ctx) -> tuple[dict, bool]:
     return entry, holds
 
 
-def _genus3d_entry(g, cid, ctx) -> tuple[dict, bool]:
-    census2d = ctx.census
-    sc = solid3d.extract_surface(solid3d.double_component(g, ctx))
-    census = solid3d.classify_surface_points(sc)
-    g_formula = solid3d.genus_by_formula(census)
-    g_euler = solid3d.euler_genus_oracle(sc)
+def _genus3d_entry(g, labels, cid) -> tuple[dict, bool]:
+    """Surface census and Euler genus from row `cid` of the image's surface
+    table if clean; else, or if the loop will stop at an invalid component,
+    from the component's own surface, whose errors name the first bad cell."""
+    census2d = labels.table.census(cid)
+    if labels.table.valid.all() and labels.surface.clean[cid]:
+        census = labels.surface.census(cid)
+        g_formula = solid3d.genus_by_formula(census)
+        g_euler = labels.surface.euler_genus(cid)
+    else:
+        ctx = corners.ComponentContext.of_label(labels, cid)
+        sc = solid3d.extract_surface(solid3d.double_component(g, ctx))
+        census = solid3d.classify_surface_points(sc)
+        g_formula = solid3d.genus_by_formula(census)
+        g_euler = solid3d.euler_genus_oracle(sc)
     checks = {
         "m6_zero": census.m6 == 0,
         "m3_eq_2c2": census.m3 == 2 * census2d.c2,

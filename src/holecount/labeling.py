@@ -50,6 +50,13 @@ class LabelMap:
 
         return ComponentTable(self.labels, self.component_count)
 
+    @cached_property
+    def surface(self):
+        """Doubled-surface census of every component, a `solid3d.SurfaceTable`."""
+        from .solid3d import SurfaceTable  # solid3d imports this module
+
+        return SurfaceTable(self.labels, self.component_count)
+
     def points_of(self, component_id: int) -> frozenset[Point2]:
         return frozenset(map(tuple, np.argwhere(self.mask_of(component_id)).tolist()))
 

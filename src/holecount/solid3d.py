@@ -19,9 +19,11 @@ the faces of each normal, the edges of each direction and the vertices,
 each indexed by minimum corner. A face is on the surface when exactly one
 of the two cubes along its normal is solid (an XOR); an edge's face count
 is the sum of its 4 neighboring face slices and a vertex's class the sum
-of its 6 neighboring edge slices. The full lattice is assembled only as
-the input of the one labeling of surface components. The tuple sets of
-the public attributes are decoded from the arrays only when read.
+of its 6 neighboring edge slices. On one solid's surface, the full
+lattice is assembled only as the input of the one labeling of surface
+components; `SurfaceTable` runs the same array code once for every
+component of a label image and labels no lattice. The tuple sets of the
+public attributes are decoded from the arrays only when read.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidSurfaceError, MultipleSurfaceComponentsError, ThinSolidError
+from .errors import EmptyComponentError, InvalidSurfaceError, MultipleSurfaceComponentsError, ThinSolidError
 from .grid import BinaryGrid
 from .corners import ComponentContext
 
@@ -67,6 +69,36 @@ def _sublattice(parity) -> tuple:
     return tuple(slice(d, None, 2) for d in reversed(parity))
 
 
+def _cubes_and_faces(occupied: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The unit cubes whose 8 corners are all occupied, and per normal the
+    faces that bound exactly one of them; all z-major, by minimum corner."""
+    cubes = occupied
+    for axis in range(3):
+        cubes = cubes[_LOW[axis]] & cubes[_HIGH[axis]]
+    faces = []
+    for a in range(3):  # a face is between the two cubes along its normal
+        faces.append(np.zeros([k + (i == 2 - a) for i, k in enumerate(cubes.shape)], dtype=bool))
+        _spread(cubes, a, faces[a], np.bitwise_xor)
+    return cubes, faces
+
+
+def _edges_and_points(face_cells) -> tuple[list, list, np.ndarray]:
+    """Per edge direction, each edge's number of surface faces and whether
+    it has one; and each point's number of surface edges."""
+    shape = np.add(face_cells[2].shape, (0, 1, 1))  # of the vertices; z is the normal
+    edge_degree = []
+    for a in range(3):
+        degree = np.zeros([k - (i == 2 - a) for i, k in enumerate(shape)], dtype=np.int8)
+        for b in {0, 1, 2} - {a}:
+            _spread(face_cells[b].view(np.int8), 3 - a - b, degree)
+        edge_degree.append(degree)
+    edge_cells = [d > 0 for d in edge_degree]
+    vertex_class = np.zeros(shape, dtype=np.int8)
+    for a, e in enumerate(edge_cells):
+        _spread(e.view(np.int8), a, vertex_class)
+    return edge_degree, edge_cells, vertex_class
+
+
 class VoxelSolid:
     """Lattice points of a solid: `occupied[z, y, x]` is the point `origin + (x, y, z)`."""
 
@@ -94,17 +126,7 @@ class SurfaceComplex:
 
     def __init__(self, face_cells, origin):
         self.face_cells, self.origin = tuple(face_cells), origin
-        shape = np.add(self.face_cells[2].shape, (0, 1, 1))  # of the vertices; z is the normal
-        self.edge_degree = []
-        for a in range(3):
-            degree = np.zeros([k - (i == 2 - a) for i, k in enumerate(shape)], dtype=np.int8)
-            for b in {0, 1, 2} - {a}:
-                _spread(self.face_cells[b].view(np.int8), 3 - a - b, degree)
-            self.edge_degree.append(degree)
-        self.edge_cells = [d > 0 for d in self.edge_degree]
-        self.vertex_class = np.zeros(shape, dtype=np.int8)
-        for a, e in enumerate(self.edge_cells):
-            _spread(e.view(np.int8), a, self.vertex_class)
+        self.edge_degree, self.edge_cells, self.vertex_class = _edges_and_points(self.face_cells)
 
     def _families(self, dim: int) -> list[tuple]:
         """(axis, parity, mask, value) of each array of cells of one
@@ -163,7 +185,7 @@ def double_component(g: BinaryGrid, component) -> VoxelSolid:
     """Stack a component at z = 1 and z = 2; points are (col, row, z)."""
     ctx = ComponentContext.of(g, component)
     if not ctx.area:
-        raise ValueError("cannot double an empty component")
+        raise EmptyComponentError("cannot double an empty component")
     solid = VoxelSolid.__new__(VoxelSolid)  # straight from the crop, with no point set
     solid.occupied = np.repeat(ctx.mask[None], 2, axis=0)
     solid.origin = np.array([ctx.offset[1], ctx.offset[0], 1])
@@ -189,15 +211,9 @@ def face_edges(face: Face) -> tuple[Edge, ...]:
 
 def extract_surface(s: VoxelSolid) -> SurfaceComplex:
     """Faces bounding exactly one solid cube, plus their edges and points."""
-    cubes = s.occupied
-    for axis in range(3):
-        cubes = cubes[_LOW[axis]] & cubes[_HIGH[axis]]
+    cubes, faces = _cubes_and_faces(s.occupied)
     if not cubes.any():
         raise ThinSolidError("solid contains no unit cube")
-    faces = []
-    for a in range(3):  # a face is between the two cubes along its normal
-        faces.append(np.zeros([k + (i == 2 - a) for i, k in enumerate(cubes.shape)], dtype=bool))
-        _spread(cubes, a, faces[a], np.bitwise_xor)
     sc = SurfaceComplex(faces, s.origin)
     if any((d > 2).any() for d in sc.edge_degree):
         e, k = sc._first(1, lambda d: d > 2)
@@ -268,6 +284,61 @@ def _component_chis(sc: SurfaceComplex, labels: np.ndarray, n: int) -> list[int]
     in_xyz_order = np.ascontiguousarray(labels.transpose()).ravel()
     _, first = np.unique(in_xyz_order[in_xyz_order > 0], return_index=True)
     return chi[np.argsort(first) + 1].tolist()
+
+
+class SurfaceTable:
+    """Surface census and Euler characteristic of every component's doubled
+    solid, from one doubling of a label image's foreground (its bounding
+    box), whose surface is found as `extract_surface` finds it. Row `cid`
+    of `points` counts its points by class, 1..6 on the surface; of
+    `genus`, (2 - (V - E + F)) / 2.
+
+    Each surface cell is credited to the label of its minimum corner's
+    pixel. Two components' solids share no lattice point, which would be one
+    pixel with two labels, so each cell lies on one component's surface,
+    with the same counts there as on that surface alone. Row `cid` is
+    `clean` when that surface passes every check of `extract_surface`,
+    `classify_surface_points` and `euler_genus_oracle`: it has a cube, every
+    surface edge lies in 2 surface faces, every point has 3 or more surface
+    neighbors, and it is one piece. The surface of R x [1, 2] is connected
+    iff R, the union of the cubes seen from above, is; one 8-connected
+    labeling of the cubes counts its pieces.
+    """
+
+    def __init__(self, labels: np.ndarray, n: int):
+        fg = labels != 0
+        rows, cols = (np.flatnonzero(fg.any(axis=a)) for a in (1, 0))
+        box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] if n else np.s_[:0, :0]
+        own = labels[box].astype(np.intp)
+        cubes, faces = _cubes_and_faces(np.repeat(fg[box][None], 2, axis=0))
+        degree, edge_cells, vertex_class = _edges_and_points(faces)
+        # Per pixel, over the cells whose minimum corner it is: V - E + F,
+        # and whether an edge lies in other than 0 or 2 faces.
+        chi, bad = np.zeros(own.shape, dtype=np.int8), np.zeros(own.shape, dtype=bool)
+        for cells, add in [([vertex_class > 0], np.add), (faces, np.add), (edge_cells, np.subtract)]:
+            for c in cells:
+                at = chi[: c.shape[1], : c.shape[2]]
+                for layer in c.view(np.int8):
+                    add(at, layer, out=at)
+        for d in degree:
+            at = bad[: d.shape[1], : d.shape[2]]
+            at |= (d & ~2).any(axis=0)
+        own7, key = own * 7, np.empty_like(own)
+        points = sum(np.bincount(np.add(own7, v, out=key).ravel(), minlength=7 * (n + 1)) for v in vertex_class)
+        self.points = points.reshape(n + 1, 7)
+        self.genus = (2 - np.bincount(own.ravel(), weights=chi.ravel(), minlength=n + 1).astype(int)) // 2
+        pieces, count = ndimage.label(cubes[0], structure=np.ones((3, 3)))
+        owner = np.zeros(count + 1, dtype=np.intp)
+        owner[pieces] = own[:-1, :-1]
+        self.clean = np.bincount(owner[1:], minlength=n + 1) == 1
+        self.clean &= ~self.points[:, 1:3].any(axis=1) & (np.bincount(own[bad], minlength=n + 1) == 0)
+
+    def census(self, cid: int) -> SurfaceCensus:
+        return SurfaceCensus(*self.points[cid, 3:].tolist())
+
+    def euler_genus(self, cid: int) -> int:
+        """What `euler_genus_oracle` gives on the surface of a clean row."""
+        return int(self.genus[cid])
 
 
 def export_obj(sc: SurfaceComplex) -> str:

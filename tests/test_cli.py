@@ -315,7 +315,7 @@ def test_curves_failed_lemma_exit_2(tmp_path, capsys, monkeypatch):
 
 def test_genus3d_failed_check_exit_2(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
-    monkeypatch.setattr(cli.solid3d, "euler_genus_oracle", lambda sc: 7)
+    monkeypatch.setattr(cli.solid3d.SurfaceTable, "euler_genus", lambda self, cid: 7)
     code, out, _ = run_cli(capsys, "genus3d", path)
     assert code == cli.EXIT_DISAGREEMENT
     assert json.loads(out)[0]["checks"]["genus_eq_euler"] is False

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 import holecount as hc
 from holecount.errors import (
+    EmptyComponentError,
     InvalidSurfaceError,
     MultipleSurfaceComponentsError,
     ThinSolidError,
@@ -36,6 +38,13 @@ def test_single_point_has_no_cube():
     g = hc.grid_from_rows(["1"])
     with pytest.raises(ThinSolidError):
         doubled_surface(g)
+
+
+@pytest.mark.parametrize("component", [frozenset(), np.zeros((2, 3), dtype=bool)], ids=["set", "mask"])
+def test_double_empty_component_raises(component):
+    g = hc.grid_from_rows(["011", "011"])
+    with pytest.raises(EmptyComponentError, match="cannot double an empty component"):
+        hc.double_component(g, component)
 
 
 def test_width1_line_has_no_cube():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 import holecount as hc
 from holecount import cli, solid3d
@@ -321,8 +322,9 @@ def test_error_texts_name_the_first_cell_in_xyz_lattice_order(kind, thin):
 
 
 def test_genus3d_builds_no_point_sets(tmp_path, capsys, monkeypatch):
-    """`genus3d` extracts one surface per component and decodes no tuple
-    set of a solid or a surface."""
+    """`genus3d` on an image of valid components doubles the foreground's
+    bounding box once, labels no 3D lattice, extracts no surface of a
+    component of its own and decodes no tuple set of a solid or a surface."""
     cells = np.zeros((26, 38), dtype=bool)
     for i in range(2):
         for j in range(3):
@@ -331,14 +333,36 @@ def test_genus3d_builds_no_point_sets(tmp_path, capsys, monkeypatch):
     path = tmp_path / "tile.txt"
     path.write_text(hc.to_ascii01(hc.BinaryGrid(cells)))
 
-    extracted, decoded = [], []
-    original = solid3d.extract_surface
-    monkeypatch.setattr(solid3d, "extract_surface", lambda s: extracted.append(s) or original(s))
+    calls = {name: [] for name in ("extract_surface", "euler_genus_oracle", "_cubes_and_faces")}
+    for name, seen in calls.items():
+        original = getattr(solid3d, name)
+        monkeypatch.setattr(solid3d, name, lambda *a, f=original, seen=seen: seen.append(a) or f(*a))
+    labeled, label = [], ndimage.label
+    monkeypatch.setattr(ndimage, "label", lambda a, *r, **k: labeled.append(a.shape) or label(a, *r, **k))
+    decoded = []
     monkeypatch.setattr(solid3d.SurfaceComplex, "_cells", lambda self, dim: decoded.append(dim) or {})
     monkeypatch.setattr(solid3d.VoxelSolid, "points", property(lambda self: decoded.append("points")))
 
     assert cli.main(["genus3d", str(path)]) == cli.EXIT_OK
     entries = json.loads(capsys.readouterr().out)
     assert [e["genus_formula"] for e in entries] == [(i + j) % 3 for i in range(2) for j in range(3)]
-    assert len(extracted) == 6
+    assert calls["extract_surface"] == calls["euler_genus_oracle"] == []
+    # Rows 1..22 and columns 1..34 hold the foreground.
+    assert [occupied.shape for occupied, in calls["_cubes_and_faces"]] == [(2, 22, 34)]
+    assert labeled == [(26, 38), (21, 33)]  # the image, then the map of its cubes
     assert decoded == []
+
+
+def test_genus3d_stops_before_an_image_wide_surface(tmp_path, capsys, monkeypatch):
+    """With component 2 invalid, no image-wide surface is built: component 1
+    gets its own surface, then the reasons of component 2 are printed."""
+    path = tmp_path / "two.txt"
+    path.write_text("\n".join(["0000000", "0111000", "0111010", "0111000", "0000000"]) + "\n")
+    built, extracted = [], []
+    monkeypatch.setattr(solid3d.SurfaceTable, "__init__", lambda self, *a: built.append(a))
+    original = solid3d.extract_surface
+    monkeypatch.setattr(solid3d, "extract_surface", lambda s: extracted.append(s) or original(s))
+    assert cli.main(["genus3d", str(path)]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "component 2 invalid: isolated_or_thin_point at (2, 5)\n")
+    assert built == [] and len(extracted) == 1
