@@ -73,20 +73,32 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _each_valid_component(args, entry_of) -> int:
+def _invalid(g, labels, cid) -> bool:
+    """Whether component `cid` is invalid; if so, its reasons are printed."""
+    if labels.table.valid[cid]:
+        return False
+    validity = corners.validate_component(g, corners.ComponentContext.of_label(labels, cid))
+    for kind, p in validity.reasons:
+        print(f"component {cid} invalid: {kind} at {p}", file=sys.stderr)
+    return not validity.valid
+
+
+def _each_valid_component(args, entry_of, check_first=False) -> int:
     """Print `entry_of(g, labels, cid) -> (entry, holds)` of every component
     as JSON. Stops with EXIT_INPUT at the first invalid component, naming its
-    reasons; exits EXIT_DISAGREEMENT when some entry's identities fail."""
+    reasons, or at the first entry that raises; exits EXIT_DISAGREEMENT when
+    some entry's identities fail. With `check_first`, for entries that
+    cannot fail on a valid component, no entry is made until every
+    component is known to be valid, so none is made that is not printed."""
     g = _read_grid(args)
     labels = label_components(g, "foreground")
+    cids = range(1, labels.component_count + 1)
+    if check_first and any(_invalid(g, labels, cid) for cid in cids):
+        return EXIT_INPUT
     out, all_hold = [], True
-    for cid in range(1, labels.component_count + 1):
-        if not labels.table.valid[cid]:
-            validity = corners.validate_component(g, corners.ComponentContext.of_label(labels, cid))
-            if not validity.valid:
-                for kind, p in validity.reasons:
-                    print(f"component {cid} invalid: {kind} at {p}", file=sys.stderr)
-                return EXIT_INPUT
+    for cid in cids:
+        if not check_first and _invalid(g, labels, cid):
+            return EXIT_INPUT
         try:
             entry, holds = entry_of(g, labels, cid)
         except HolecountError as exc:
@@ -136,7 +148,8 @@ def _to_json(entries: list[dict]) -> str:
     """`json.dumps(entries, indent=2)`, which would run the pure-Python
     encoder over every value: each entry is laid out by the template of its
     shape, with every leaf encoded in one C-encoded `json.dumps` call, and
-    every contour's points (replaced in `entries` by a mark) by `_POINT`."""
+    every contour's points ((k, 2) arrays, replaced in `entries` by a mark)
+    by one format of `_POINT` repeated."""
     if not entries:
         return "[]"
     points, leaves, templates, layout = [], [], {}, []
@@ -153,25 +166,30 @@ def _to_json(entries: list[dict]) -> str:
     parts = (("[\n  " + ",\n  ".join(layout) + "\n]") % tuple(values)).split(f'"{_POINTS_MARK}"')
     out = [parts[0]]
     for pts, part in zip(points, parts[1:]):
-        body = ",\n          ".join(map(_POINT.__mod__, pts))
+        body = ",\n          ".join([_POINT] * len(pts)) % tuple(np.ravel(pts).tolist())
         out += ["[\n          ", body, "\n        ]", part]
     return "".join(out)
 
 
 def _curves_entry(g, labels, cid) -> tuple[dict, bool]:
-    ctx = corners.ComponentContext.of_label(labels, cid)
-    acct = curves.second_proof_accounting(g, ctx)
+    """Row `cid` of the image's contour table. A row whose contours fail is
+    traced on its own, which raises the error naming the first revisited
+    point."""
+    table = labels.curves
+    if not table.ok[cid]:
+        curves.trace_contours(g, corners.ComponentContext.of_label(labels, cid))
+    acct = table.accounting(cid)
     entry = {
         "component_id": cid,
         "contours": [],
         "accounting": {"lhs": acct.lhs, "rhs": acct.rhs, "holds": acct.holds},
     }
-    for ct, cc in zip(ctx.contours, acct.curve_censuses):
-        lemma = (cc.cp2 - cc.cp4 if ct.kind == curves.OUTER else cc.cp4 - cc.cp2) == 4
+    for (kind, points), cc in zip(table.contours(cid), acct.curve_censuses):
+        lemma = (cc.cp2 - cc.cp4 if kind == curves.OUTER else cc.cp4 - cc.cp2) == 4
         entry["contours"].append(
             {
-                "kind": ct.kind,
-                "points": ct.points,
+                "kind": kind,
+                "points": points,
                 "cp2": cc.cp2,
                 "cp3": cc.cp3,
                 "cp4": cc.cp4,
@@ -220,7 +238,9 @@ def _genus3d_entry(g, labels, cid) -> tuple[dict, bool]:
 
 
 def cmd_curves(args) -> int:
-    return _each_valid_component(args, _curves_entry)
+    # A valid component's contours partition its boundary (see
+    # `corners.ComponentTable`), so its entry does not fail.
+    return _each_valid_component(args, _curves_entry, check_first=True)
 
 
 def cmd_genus3d(args) -> int:

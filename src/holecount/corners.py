@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContourOverlapError, EmptyComponentError, OutOfBoundsError
 from .grid import BinaryGrid, DIRECT_OFFSETS, DIAGONAL_OFFSETS, Point2
-from .labeling import label_mask
+from .labeling import hole_regions, label_mask
 
 ISOLATED_OR_THIN_POINT = "isolated_or_thin_point"
 PATHOLOGICAL_WINDOW = "pathological_window"
@@ -175,6 +174,15 @@ class ComponentTable:
         return [(_FAULTS[f], (r, c)) for f, r, c in zip(kinds, rows, cols)]
 
 
+def bounding_box(mask: np.ndarray) -> tuple[slice, slice]:
+    """The smallest box holding the mask's True cells, from one `any` per
+    axis; an empty box at (0, 0) when it has none."""
+    rows, cols = (np.flatnonzero(mask.any(axis=a)) for a in (1, 0))
+    if not rows.size:
+        return slice(0, 0), slice(0, 0)
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
 def _image(shape, origin=(0, 0)) -> tuple[slice, slice]:
     return tuple(slice(o, o + n) for o, n in zip(origin, shape))
 
@@ -187,8 +195,8 @@ class ComponentContext:
     ring; a position in it plus `offset` is the image position. `table` is
     the table of `labels`, a `LabelMap` (`cid` is its row), else the crop's
     own; `direct` and `boundary` are cut from it at the crop, with no ring.
-    These and the complement labeling are computed on first read and shared.
-    `trace_contours` keeps its result in `contours`.
+    These, the complement labeling and the contour table (`curve_row`) are
+    computed on first read and shared.
     """
 
     def __init__(self, crop: np.ndarray, origin: tuple[int, int], image, labels=None, cid=1):
@@ -197,7 +205,6 @@ class ComponentContext:
         self.offset = (origin[0] - 1, origin[1] - 1)
         self.mask = _ringed(crop)
         self.area = int(self.mask.sum())
-        self.contours = None
         self.labels, self.cid = labels, cid
 
     @classmethod
@@ -214,7 +221,7 @@ class ComponentContext:
             if g is not None and component.shape != g.cells.shape:
                 raise ValueError("component mask shape mismatch")
             mask = component.astype(bool, copy=False)
-            window = (ndimage.find_objects(mask.view(np.uint8)) or [(slice(0, 0),) * 2])[0]
+            window = bounding_box(mask)
             return cls(mask[window], (window[0].start, window[1].start), _image(mask.shape))
         pts = np.array(list(component), dtype=np.intp).reshape(-1, 2)
         if g is not None:
@@ -245,6 +252,18 @@ class ComponentContext:
         if self.labels is not None:
             return self.labels.table
         return ComponentTable(self.mask[1:-1, 1:-1].view(np.uint8), 1, self.origin)
+
+    @cached_property
+    def curve_row(self):
+        """The `curves.CurveTable` of its `LabelMap` and its row there if it
+        is valid, else the table of the crop read as one component, row 1."""
+        if self.labels is not None and self.table.valid[self.cid]:
+            return self.labels.curves, self.cid
+        from .curves import CurveTable  # curves imports this module
+
+        crop = self.mask[1:-1, 1:-1].view(np.uint8)
+        table = self.table if self.labels is None else ComponentTable(crop, 1, self.origin)
+        return CurveTable(crop, 1, table, hole_regions(crop, 1), self.origin), 1
 
     @cached_property
     def window(self) -> tuple[slice, slice]:

@@ -6,7 +6,9 @@ complement region. A contour is walked on component pixels with a
 this weaves inward corner points (which touch the region only diagonally)
 into the cycle, so for valid components the contours partition the
 boundary point set. Outer contours come out clockwise in (row, col)
-screen orientation, hole contours counterclockwise.
+screen orientation, hole contours counterclockwise. `CurveTable` walks
+every contour of an image at once; `_walk`, one step at a time, names the
+point where a component's contours fail.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
-from .corners import ComponentContext, _positions, find_pathological
+from .corners import ComponentContext, _positions, _ringed, find_pathological
 from .errors import (
     ContourOverlapError,
     CurveError,
@@ -101,15 +102,157 @@ def _walk(mask: np.ndarray, start: Point2, heading: Point2) -> list[Point2]:
         p, d = q, nd
 
 
-def _enclosed(ctx: ComponentContext, path: list[Point2], region: int) -> frozenset[Point2]:
+# The headings N, E, S, W as steps: clockwise, so a left turn is -1 and a
+# right turn +1, mod 4.
+_STEPS = np.array([_N, _E, _S, _W])
+
+
+class CurveTable:
+    """The contours of every component of a label image, from one
+    vectorised left-hand walk.
+
+    `_walk` is a function on states (boundary cell, heading): the next step
+    is the first of left, straight, right and back that lands on the
+    foreground, where a cell's 4-neighbours carry its label. Four
+    `np.where` passes find it for each of the 16 sets of foreground
+    4-neighbours, and every state reads its cell's. A component's outer
+    contour starts at its first cell heading E, and a hole contour at the
+    cell above its region's first cell (`regions`, from
+    `labeling.hole_regions`) heading W; a walk ends at a start cell.
+    Pointer jumping walks every contour at once: while `jump` takes 2^j
+    steps, the first 2^j states of each unfinished contour give its next
+    2^j. Row `cid` is `ok` when each of its walks ends where it started and
+    its contours visit each of its boundary cells once; they are then
+    `_walk`'s, point for point. `points` holds every contour's cells in
+    order, at `labels`' positions plus `offset`; `table` is the
+    `corners.ComponentTable` whose boundary and classes they are read from.
+    """
+
+    def __init__(self, labels: np.ndarray, n: int, table, regions, offset=(0, 0)):
+        width = labels.shape[1]
+        self.table = table
+        cells = np.flatnonzero(table.boundary)  # boundary cells, numbered row-major
+        count, sink = cells.size, 4 * cells.size  # a state is 4 * cell + heading
+        fg = _ringed(labels != 0).ravel()
+        ringed = cells + 2 * (cells // width) + width + 3
+        number = np.full(fg.size, count, dtype=np.int32)  # boundary cell number; `count` elsewhere
+        number[ringed] = np.arange(count)
+        step = _STEPS @ (width + 2, 1)
+        # The next heading (-1 for none) by heading, for each of the 16 sets
+        # of foreground 4-neighbours (bit d for heading d).
+        moves = np.full((16, 4), -1)
+        for turn in (2, 1, 0, -1):  # back, right, straight, left: the last fit wins
+            heading = (np.arange(4) + turn) % 4
+            moves = np.where(np.arange(16)[:, None] >> heading & 1, heading, moves)
+        near = fg[ringed[:, None] + step].view(np.uint8) @ np.array([1, 2, 4, 8], dtype=np.uint8)
+        move = np.take(moves.astype(np.int8), near, axis=0)
+        to = number[ringed[:, None] + step[move]]
+        succ = np.full(sink + 1, sink, dtype=np.int32)  # the sink, 4 * count, goes nowhere
+        succ[:sink] = np.where((move >= 0) & (to < count), 4 * to + move, sink).ravel()
+
+        own = labels.ravel()[cells]
+        holes, firsts = regions
+        per = 1 + holes[1:]  # contours per component
+        self._rows = np.cumsum(np.r_[0, 0, per]).tolist()  # row cid: contours [cid] to [cid + 1]
+        outer = np.zeros(per.sum(), dtype=bool)
+        outer[self._rows[1:-1]] = True
+        head = np.empty(outer.size, dtype=np.intp)
+        # Labels number components by first cell, a boundary cell.
+        head[outer] = np.flatnonzero(np.diff(np.maximum.accumulate(own), prepend=0))
+        head[~outer] = number[firsts @ (width + 2, 1) + 1]  # the cell above, in the ringed array
+        after = succ[4 * head + np.where(outer, 1, 3)]  # the state after each start
+        ends = np.zeros(count + 1, dtype=bool)
+        ends[head] = ends[count] = True
+        ends = np.repeat(ends, 4)[: sink + 1]
+        jump = np.where(ends, np.arange(sink + 1, dtype=np.int32), succ)
+
+        # Each unfinished contour's states at its walk's steps 0 to span - 1.
+        live = ~ends[after]
+        front = [after[live], np.flatnonzero(live), np.zeros(np.count_nonzero(live), dtype=np.intp)]
+        walked, span = [front], 1
+        while front[0].size and span <= sink:
+            state, contour, at = front
+            ahead = jump[state]
+            go = ~ends[ahead]
+            walked.append([ahead[go], contour[go], at[go] + span])
+            on = np.bincount(contour[~go], minlength=outer.size)[contour] == 0
+            front = [np.concatenate([v[on], w[on]]) for v, w in zip(front, [ahead, contour, at + span])]
+            jump, span = jump[jump], 2 * span
+        state, contour, at = (np.concatenate(v) for v in zip(*walked))
+        length = 1 + np.bincount(contour, minlength=outer.size)
+        begin = np.cumsum(length) - length
+        path = np.repeat(head, length)
+        path[begin[contour] + 1 + at] = state >> 2
+        end = after.copy()
+        last = at == length[contour] - 2
+        end[contour[last]] = succ[state[last]]
+        closed = (end >> 2 == head) & (np.bincount(front[1], minlength=outer.size) == 0)
+
+        visits = np.bincount(path, minlength=count)
+        label = np.repeat(np.arange(n + 1), np.r_[0, per])
+        faults = np.bincount(own[visits != 1], minlength=n + 1)
+        self.ok = faults + np.bincount(label[~closed], minlength=n + 1) == 0
+        classes = table.direct.ravel()[cells[path]]
+        census = np.bincount(np.repeat(np.arange(outer.size) * 5, length) + classes, minlength=5 * outer.size)
+        self._census = census.reshape(-1, 5)[:, 2:].tolist()
+        self._begin = np.append(begin, path.size).tolist()
+        self.points = np.stack(divmod(cells[path], width), axis=1) + offset
+
+    def contours(self, cid: int) -> list[tuple[str, np.ndarray]]:
+        """Kind and points ((k, 2) rows of `points`) of each contour of row
+        `cid`, the outer one first."""
+        begin = self._begin
+        return [
+            (OUTER if i == self._rows[cid] else HOLE, self.points[begin[i] : begin[i + 1]])
+            for i in range(self._rows[cid], self._rows[cid + 1])
+        ]
+
+    def accounting(self, cid: int) -> AccountingResult:
+        """What `second_proof_accounting` gives on the component of row `cid`."""
+        rows = self._census[self._rows[cid] : self._rows[cid + 1]]
+        cp2, cp3, cp4 = map(sum, zip(*rows))
+        holes = len(rows) - 1
+        return AccountingResult(
+            lhs=cp4 - cp2,
+            rhs=-4 + 4 * holes,
+            holds=cp4 - cp2 == -4 + 4 * holes,
+            hole_count=holes,
+            census_match=[cp2, cp3, cp4] == self.table.classes[cid, 2:].tolist(),
+            curve_censuses=tuple(CurveCensus(*k) for k in rows),
+        )
+
+
+def _enclosed(ctx: ComponentContext, path: np.ndarray, region: int) -> frozenset[Point2]:
     """Cells of complement region `region`; for the outer contour (region 1,
     the unbounded one) every cell outside region 1 that is not on `path`."""
     regions = ctx.complement[0]
     if region != 1:
         return frozenset(ctx.positions(regions == region))
     inside = regions != 1
-    inside[tuple(np.array(path).T)] = False
+    inside[tuple((path - ctx.offset).T)] = False
     return frozenset(ctx.positions(inside))
+
+
+def _traced(ctx: ComponentContext) -> tuple[CurveTable, int]:
+    """The context's contour table and row, once its contours are known to
+    partition its boundary. Otherwise `_walk` walks them, and the first
+    point walked twice, else the first point of the boundary and the walks
+    that is not on both, row-major, is raised as the overlap."""
+    if not ctx.area:
+        raise EmptyComponentError("cannot trace an empty component")
+    if ctx.thin_points:
+        raise ThinComponentError(ctx.thin_points[0])
+    curves, cid = ctx.curve_row
+    if curves.ok[cid]:
+        return curves, cid
+    (r0, c0), walked = ctx.offset, set()
+    for kind, points in curves.contours(cid):
+        start = tuple((points[0] - ctx.offset).tolist())
+        for r, c in _walk(ctx.mask, start, _E if kind == OUTER else _W):
+            if (r + r0, c + c0) in walked:
+                raise ContourOverlapError((r + r0, c + c0))
+            walked.add((r + r0, c + c0))
+    raise ContourOverlapError(min(walked.symmetric_difference(_positions(ctx.boundary, ctx.origin))))
 
 
 def trace_contours(g: BinaryGrid, component) -> tuple[Contour, ...]:
@@ -117,54 +260,19 @@ def trace_contours(g: BinaryGrid, component) -> tuple[Contour, ...]:
 
     Raises ThinComponentError when a boundary point has fewer than 2 direct
     neighbors, and ContourOverlapError when a traced point is revisited or
-    the contours fail to partition the boundary point set. The result is
-    also kept as the component context's `contours`.
+    the contours fail to partition the boundary point set. The contours are
+    a row of the context's `CurveTable`.
     """
     ctx = ComponentContext.of(g, component)
-    if not ctx.area:
-        raise EmptyComponentError("cannot trace an empty component")
-    if ctx.thin_points:
-        raise ThinComponentError(ctx.thin_points[0])
-
-    mask = ctx.mask
-    regions = ctx.complement[0]
-    # The ring is background, so region 1 holds (0, 0) and is the unbounded
-    # one; 2..n are enclosed regions in scan order.
-    assert regions[0, 0] == 1
-    start = divmod(int(mask.argmax()), mask.shape[1])
-    paths = [(_walk(mask, start, _E), OUTER, 1)]
-    for rid, window in enumerate(ndimage.find_objects(regions)[1:], start=2):
-        # A region's first cell in scan order lies in the top row of its box.
-        r, cols = window[0].start, window[1]
-        c = cols.start + int(np.argmax(regions[r, cols] == rid))
-        assert mask[r - 1, c]
-        paths.append((_walk(mask, (r - 1, c), _W), HOLE, rid))
-
-    r0, c0 = ctx.offset
-    walked = np.concatenate([np.array(path) for path, _, _ in paths])
-    flat = walked[:, 0] * mask.shape[1] + walked[:, 1]
-    traced = np.zeros_like(mask)
-    traced.flat[flat] = True
-    if np.count_nonzero(traced) < flat.size:
-        # The first point, in walking order, that was walked before.
-        _, firsts = np.unique(flat, return_index=True)
-        again = np.ones(flat.size, dtype=bool)
-        again[firsts] = False
-        r, c = walked[int(np.argmax(again))].tolist()
-        raise ContourOverlapError((r + r0, c + c0))
-    mismatch = traced[1:-1, 1:-1] ^ ctx.boundary
-    if mismatch.any():
-        raise ContourOverlapError(_positions(mismatch, ctx.origin)[0])
-
-    ctx.contours = tuple(
+    curves, cid = _traced(ctx)
+    return tuple(
         Contour(
-            points=tuple((r + r0, c + c0) for r, c in path),
+            points=tuple(map(tuple, points.tolist())),
             kind=kind,
-            _enclosed=partial(_enclosed, ctx, path, rid),
+            _enclosed=partial(_enclosed, ctx, points, region),
         )
-        for path, kind, rid in paths
+        for region, (kind, points) in enumerate(curves.contours(cid), start=1)
     )
-    return ctx.contours
 
 
 def curve_census(g: BinaryGrid, component, contour: Contour) -> CurveCensus:
@@ -213,22 +321,5 @@ def check_curve_lemma(points, interior=None) -> CurveLemmaResult:
 
 def second_proof_accounting(g: BinaryGrid, component) -> AccountingResult:
     """Sum per-curve censuses and test cp4 - cp2 == -4 + 4h."""
-    ctx = ComponentContext.of(g, component)
-    contours = ctx.contours or trace_contours(g, ctx)
-    censuses = tuple(curve_census(g, ctx, ct) for ct in contours)
-    cp2 = sum(cc.cp2 for cc in censuses)
-    cp3 = sum(cc.cp3 for cc in censuses)
-    cp4 = sum(cc.cp4 for cc in censuses)
-    hole_count = sum(1 for ct in contours if ct.kind == HOLE)
-    comp = ctx.census
-    census_match = (cp2, cp3, cp4) == (comp.c2, comp.c3, comp.c4)
-    lhs = cp4 - cp2
-    rhs = -4 + 4 * hole_count
-    return AccountingResult(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs == rhs,
-        hole_count=hole_count,
-        census_match=census_match,
-        curve_censuses=censuses,
-    )
+    curves, cid = _traced(ComponentContext.of(g, component))
+    return curves.accounting(cid)

@@ -7,6 +7,7 @@ at 1; 0 is "not in the target set".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,6 +52,18 @@ class LabelMap:
         return ComponentTable(self.labels, self.component_count)
 
     @cached_property
+    def complements(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hole regions of every component from one labelling (`hole_regions`)."""
+        return hole_regions(self.labels, self.component_count)
+
+    @cached_property
+    def curves(self):
+        """Contours of every component, a `curves.CurveTable`."""
+        from .curves import CurveTable  # curves imports this module
+
+        return CurveTable(self.labels, self.component_count, self.table, self.complements)
+
+    @cached_property
     def surface(self):
         """Doubled-surface census of every component, a `solid3d.SurfaceTable`."""
         from .solid3d import SurfaceTable  # solid3d imports this module
@@ -83,6 +96,64 @@ def label_components(g: BinaryGrid, target: str = "foreground") -> LabelMap:
     labels, n = label_mask(mask)
     labels.setflags(write=False)
     return LabelMap(labels=labels, component_count=n)
+
+
+def hole_regions(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The enclosed complement regions of every component, from one labelling.
+
+    Only the cells with a background 4-neighbour matter: the others border
+    no complement region. Their bounding box is the component's. Each box,
+    grown by a background ring, is placed on one canvas that holds only
+    that component's cells: shelves of boxes, tallest first, each shelf as
+    tall as its first box, filled by one scatter of those cells. The canvas
+    complement is labelled once, 4-connected. Each shelf's top and bottom
+    rows are rings or free canvas, so all rings and free canvas are region
+    1. Every other region lies in one box, whose scan order the move kept,
+    and is either one that `holes_in_mask` counts for that component alone
+    or one of cells left off, which starts on a foreground cell. Returns
+    each label's hole count (index 0 unused) and the holes' first cells in
+    scan order, grouped by label, as positions in `labels`.
+    """
+    if not n:
+        return np.zeros(1, dtype=np.intp), np.zeros((0, 2), dtype=np.intp)
+    edge = labels != 0
+    edge[1:-1, 1:-1] &= ~(edge[:-2, 1:-1] & edge[2:, 1:-1] & edge[1:-1, :-2] & edge[1:-1, 2:])
+    at = np.flatnonzero(edge)
+    own = labels.ravel()[at]
+    rows, cols = divmod(at, labels.shape[1])
+    low, high = np.full((2, n + 1), labels.size), np.zeros((2, n + 1), dtype=np.intp)
+    for axis, cells in enumerate((rows, cols)):
+        np.minimum.at(low[axis], own, cells)
+        np.maximum.at(high[axis], own, cells)
+    low, high = low[:, 1:].T, high[:, 1:].T
+    order = np.argsort(low[:, 0] - high[:, 0], kind="stable")
+    h, w = (high[order] - low[order] + 3).T
+    # One row of boxes, cut into shelves about as long as the canvas is tall.
+    run = np.cumsum(w) - w
+    new = np.diff(run // max(math.isqrt(int(h @ w)), 1), prepend=-1) > 0
+    shelf = np.cumsum(new) - 1
+    left = run - run[new][shelf]
+    tops = np.cumsum(h[new]) - h[new]
+    shift = np.zeros((n + 1, 2), dtype=np.intp)  # canvas minus image position
+    shift[order + 1] = np.stack([tops[shelf], left], axis=1) + 1 - low[order]
+    canvas = np.zeros((h[new].sum(), (left + w).max()), dtype=labels.dtype)
+    width = canvas.shape[1]
+    canvas.ravel()[at + rows * (width - labels.shape[1]) + (shift @ (width, 1))[own]] = own
+    free = canvas == 0
+    regions = label_mask(free)[0]
+    # A region's first cell has no cell of its region above it; ids number
+    # regions by first cell, so it raises the running maximum. The cell
+    # above it is its component's.
+    free[1:] &= ~free[:-1]
+    at = np.flatnonzero(free)
+    first = at[np.diff(np.maximum.accumulate(regions.ravel()[at]), prepend=1) > 0]
+    owner = canvas.ravel()[first - width]
+    cells = np.stack(divmod(first, width), axis=1) - shift[owner]
+    # A hole starts on background: a cell of another component there would
+    # touch the one above and share its label.
+    hole = labels[cells[:, 0], cells[:, 1]] == 0
+    owner, cells = owner[hole], cells[hole]
+    return np.bincount(owner, minlength=n + 1), cells[np.argsort(owner, kind="stable")]
 
 
 def holes_in_mask(mask) -> int:

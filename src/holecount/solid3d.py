@@ -36,7 +36,7 @@ from scipy import ndimage
 
 from .errors import EmptyComponentError, InvalidSurfaceError, MultipleSurfaceComponentsError, ThinSolidError
 from .grid import BinaryGrid
-from .corners import ComponentContext
+from .corners import ComponentContext, bounding_box
 
 Point3 = tuple[int, int, int]
 Face = tuple[Point3, int]
@@ -307,8 +307,7 @@ class SurfaceTable:
 
     def __init__(self, labels: np.ndarray, n: int):
         fg = labels != 0
-        rows, cols = (np.flatnonzero(fg.any(axis=a)) for a in (1, 0))
-        box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] if n else np.s_[:0, :0]
+        box = bounding_box(fg)
         own = labels[box].astype(np.intp)
         cubes, faces = _cubes_and_faces(np.repeat(fg[box][None], 2, axis=0))
         degree, edge_cells, vertex_class = _edges_and_points(faces)

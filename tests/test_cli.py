@@ -285,11 +285,11 @@ def test_curves_failed_identity_exit_2(tmp_path, capsys, monkeypatch):
     from dataclasses import replace
 
     path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
-    real = cli.curves.second_proof_accounting
+    real = cli.curves.CurveTable.accounting
     monkeypatch.setattr(
-        cli.curves,
-        "second_proof_accounting",
-        lambda g, c: replace(real(g, c), holds=False),
+        cli.curves.CurveTable,
+        "accounting",
+        lambda self, cid: replace(real(self, cid), holds=False),
     )
     code, out, _ = run_cli(capsys, "curves", path)
     assert code == cli.EXIT_DISAGREEMENT
@@ -300,14 +300,14 @@ def test_curves_failed_lemma_exit_2(tmp_path, capsys, monkeypatch):
     from dataclasses import replace
 
     path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
-    real = cli.curves.second_proof_accounting
+    real = cli.curves.CurveTable.accounting
 
-    def tampered(g, c):
-        acct = real(g, c)
+    def tampered(self, cid):
+        acct = real(self, cid)
         first = replace(acct.curve_censuses[0], cp2=0)
         return replace(acct, curve_censuses=(first,) + acct.curve_censuses[1:])
 
-    monkeypatch.setattr(cli.curves, "second_proof_accounting", tampered)
+    monkeypatch.setattr(cli.curves.CurveTable, "accounting", tampered)
     code, out, _ = run_cli(capsys, "curves", path)
     assert code == cli.EXIT_DISAGREEMENT
     assert json.loads(out)[0]["accounting"]["holds"] is True

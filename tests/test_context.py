@@ -372,15 +372,41 @@ def test_genus3d_reads_validity_from_the_table(tmp_path, capsys, monkeypatch):
 
 
 def test_curves_traces_each_component_once(tmp_path, capsys, monkeypatch):
-    """The partition check and the per-contour classes read the image's
-    table: no component counts its own neighbors."""
-    g = tile(3, 4)
+    """One contour table walks every component: a request labels the image
+    and the mosaic of its complements, whatever the component count, counts
+    neighbors once over the image and walks no contour one step at a time."""
+    arr = np.zeros((242, 242), dtype=bool)
+    for i in range(20):
+        for j in range(20):
+            arr[1 + 12 * i : 11 + 12 * i, 1 + 12 * j : 11 + 12 * j] = True
+            arr[4 + 12 * i : 4 + 12 * i + (i + j) % 3, 4 + 12 * j : 7 + 12 * j] = False
+    g = hc.BinaryGrid(arr)
     traced = count_calls(monkeypatch, curves, "trace_contours")
+    walked = count_calls(monkeypatch, curves, "_walk")
+    labeled = count_calls(monkeypatch, labeling, "label_mask")
     counted = count_calls(monkeypatch, corners, "neighbor_counts")
     assert cli.main(["curves", write_grid(tmp_path, g)]) == cli.EXIT_OK
-    capsys.readouterr()
-    assert len(traced) == 12
+    assert len(json.loads(capsys.readouterr().out)) == 400
+    assert traced == [] and walked == []
+    image, mosaic = (mask for mask, in labeled)
+    assert image.shape == g.cells.shape
+    # The ringed 10 x 10 boxes (0-2 holes each), packed with little waste.
+    assert 400 * 12 * 12 <= mosaic.size < 1.1 * 400 * 12 * 12
     assert [mask.size for mask, in counted] == [g.cells.size]
+
+
+def test_curves_stops_before_the_contour_table(tmp_path, capsys, monkeypatch):
+    """With component 2 invalid, no contours are traced, not even those of
+    component 1, which would not be printed."""
+    path = tmp_path / "two.txt"
+    rows = ["0000000000", "0111111000", "0111111000", "0110011010", "0110011000", "0111111000"]
+    path.write_text("\n".join(rows + ["0111111000", "0000000000"]) + "\n")
+    regions = count_calls(monkeypatch, labeling, "hole_regions")
+    walked = count_calls(monkeypatch, curves, "_walk")
+    assert cli.main(["curves", str(path)]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "component 2 invalid: isolated_or_thin_point at (3, 8)\n")
+    assert regions == [] and walked == []
 
 
 def test_thin_points_are_decoded_once(monkeypatch):
@@ -432,3 +458,125 @@ SQUARE = hc.grid_from_rows(["111", "111", "111"])
 def test_points_outside_the_grid_raise(check, point):
     with pytest.raises(hc.OutOfBoundsError, match=r"outside 3x3 grid"):
         check(SQUARE, {point})
+
+
+def spiral(side):
+    """A square spiral of 2-thick walls and 2-wide corridors: one component
+    whose outer contour runs the length of both sides of every wall."""
+    arr = np.zeros((side, side), dtype=bool)
+    r = c = 0
+    legs = [side - 2] + [m for m in range(side - 2, 0, -4) for _ in range(2)]
+    for (dr, dc), m in zip([(0, 1), (1, 0), (0, -1), (-1, 0)] * side, legs):
+        r2, c2 = r + dr * m, c + dc * m
+        arr[min(r, r2) : max(r, r2) + 2, min(c, c2) : max(c, c2) + 2] = True
+        r, c = r2, c2
+    return arr
+
+
+def comb(teeth, length):
+    """A 2-thick bar with `teeth` 2-wide teeth of `length`, 2 apart."""
+    arr = np.zeros((length + 2, 4 * teeth - 2), dtype=bool)
+    arr[:2] = True
+    for t in range(teeth):
+        arr[2:, 4 * t : 4 * t + 2] = True
+    return arr
+
+
+def many_holes(rows, cols):
+    """A rectangle with rows x cols 2 x 2 holes behind 2-thick walls."""
+    arr = np.ones((4 * rows + 2, 4 * cols + 2), dtype=bool)
+    for i in range(rows):
+        for j in range(cols):
+            arr[2 + 4 * i : 4 + 4 * i, 2 + 4 * j : 4 + 4 * j] = False
+    return arr
+
+
+@st.composite
+def mosaics(draw):
+    """Several shapes on one canvas, where they may touch, overlap or nest:
+    holed noise, many holes, a shape in a thick ring's hole, rectangles
+    that touch only at a corner, a spiral, a comb and raw noise."""
+    side = 40
+    arr = np.zeros((side, side), dtype=bool)
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["holed", "holes", "nested", "diagonal", "spiral", "comb", "noise"]))
+        if kind == "holed":
+            shape = np.pad(draw(arrays(bool, (6, 6))), 2, constant_values=True)
+            shape = np.kron(shape, np.ones((2, 2), dtype=bool))
+        elif kind == "holes":
+            shape = many_holes(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        elif kind == "nested":
+            inner = np.kron(draw(arrays(bool, (3, 3))), np.ones((2, 2), dtype=bool))
+            shape = np.pad(np.pad(inner, 1), 2, constant_values=True)
+        elif kind == "diagonal":
+            h1, w1, h2, w2 = (draw(st.integers(2, 6)) for _ in range(4))
+            shape = np.zeros((h1 + h2, w1 + w2), dtype=bool)
+            shape[:h1, :w1] = shape[h1:, w1:] = True
+            if draw(st.booleans()):
+                shape = shape[:, ::-1]
+        elif kind == "spiral":
+            shape = spiral(draw(st.integers(6, 30)))
+        elif kind == "comb":
+            shape = comb(draw(st.integers(1, 6)), draw(st.integers(1, 8)))
+        else:
+            shape = draw(arrays(bool, st.tuples(st.integers(1, 8), st.integers(1, 8))))
+        r = draw(st.integers(0, side - shape.shape[0]))
+        c = draw(st.integers(0, side - shape.shape[1]))
+        arr[r : r + shape.shape[0], c : c + shape.shape[1]] |= shape
+    return hc.BinaryGrid(arr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mosaics())
+@example(hc.BinaryGrid(np.pad(spiral(31), 1)))
+@example(hc.BinaryGrid(np.pad(comb(6, 5), 1)))
+@example(hc.BinaryGrid(np.pad(many_holes(3, 4), 1)))
+@example(hc.grid_from_rows(NESTED))
+@example(hc.grid_from_rows(L_CONTACT))
+@example(hc.grid_from_rows(RINGS))
+# Each walk visits new cells only, but the outer one ends at the hole's
+# start, and the hole's at the outer one's.
+@example(hc.grid_from_rows(["00000", "01100", "01110", "01010", "01110", "00000"]))
+def test_contour_table_matches_the_walk(g):
+    """The contour table's row of each component with no thin point is
+    `_walk`'s trace, point for point, with its per-contour classes, or is
+    flagged where that trace overlaps, invalid components included. The
+    mosaic counts every component's holes as `holes_in_mask` does on the
+    component alone."""
+    labels = hc.label_components(g)
+    holes, _ = labels.complements
+    assert len(holes) == labels.component_count + 1
+    for cid in range(1, labels.component_count + 1):
+        mask = labels.mask_of(cid)
+        assert holes[cid] == labeling.holes_in_mask(mask)
+        direct, full = ref_counts(mask)
+        bnd = mask & (full < 8)
+        if (direct[bnd] < 2).any():
+            continue  # refused before the table is read
+        contours = ref_trace(mask, bnd)
+        if isinstance(contours, tuple):
+            assert not labels.curves.ok[cid]
+            continue
+        assert labels.curves.ok[cid]
+        rows = labels.curves.contours(cid)
+        assert [(kind, list(map(tuple, pts.tolist()))) for kind, pts in rows] == [
+            (kind, pts) for kind, pts, _ in contours
+        ]
+        census = [tuple(sum(direct[p] == k for p in pts) for k in (2, 3, 4)) for _, pts, _ in contours]
+        acct = labels.curves.accounting(cid)
+        assert [(cc.cp2, cc.cp3, cc.cp4) for cc in acct.curve_censuses] == census
+        assert acct == curves.second_proof_accounting(g, mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+@example(np.zeros((5, 7), dtype=bool))
+def test_box_of_a_mask_is_find_objects_box(mask):
+    """A mask's context is cut at the box `ndimage.find_objects` gives, with
+    its first cell as origin; an empty mask gets an empty box at (0, 0)."""
+    box = (ndimage.find_objects(mask.view(np.uint8)) or [(slice(0, 0),) * 2])[0]
+    assert corners.bounding_box(mask) == box
+    for g in (None, hc.BinaryGrid(mask)):
+        ctx = corners.ComponentContext.of(g, mask)
+        assert ctx.origin == (box[0].start, box[1].start)
+        assert np.array_equal(ctx.mask[1:-1, 1:-1], mask[box])

@@ -36,6 +36,15 @@ def test_trace_width1_ring_overlaps():
         hc.trace_contours(g, g.foreground_points())
 
 
+def test_trace_of_two_pieces_names_a_missed_boundary_point():
+    # The walk from the first cell covers only the left piece; the first
+    # boundary point it misses is the right piece's first cell.
+    g = hc.grid_from_rows(["111001111", "111001111", "111001111"])
+    with pytest.raises(ContourOverlapError) as exc:
+        hc.trace_contours(g, g.foreground_points())
+    assert exc.value.point == (0, 5)
+
+
 def test_trace_domino_thin():
     g = hc.grid_from_rows(["11"])
     with pytest.raises(ThinComponentError):
