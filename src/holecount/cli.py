@@ -15,7 +15,7 @@ import numpy as np
 
 from . import corners, curves, gen, grid, holes, solid3d
 from .errors import HolecountError
-from .labeling import holes_in_mask, label_components
+from .labeling import label_components
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -132,35 +132,37 @@ def _shape(value, leaves: list):
     return None
 
 
-def _template(shape, pad: str) -> str:
+def _template(shape, pad: str, memo: dict) -> str:
     """The indent=2 layout of a value of that shape at the indent of `pad`,
-    with %s for each leaf."""
+    with %s for each leaf; `memo` keeps the layouts made, by shape and pad."""
     if shape is None:
         return "%s"
-    inner = pad + "  "
-    if shape[0] is None:  # a list
-        return "[" + ",".join([inner + _template(s, inner) for s in shape[1:]]) + pad + "]"
-    items = [(key, None) if type(key) is str else key for key in shape]
-    return "{" + ",".join([f"{inner}{json.dumps(k)}: {_template(s, inner)}" for k, s in items]) + pad + "}"
+    if (shape, pad) not in memo:
+        inner = pad + "  "
+        if shape[0] is None:  # a list
+            memo[shape, pad] = "[" + ",".join([inner + _template(s, inner, memo) for s in shape[1:]]) + pad + "]"
+        else:
+            items = [(key, None) if type(key) is str else key for key in shape]
+            parts = [f"{inner}{json.dumps(k)}: {_template(s, inner, memo)}" for k, s in items]
+            memo[shape, pad] = "{" + ",".join(parts) + pad + "}"
+    return memo[shape, pad]
 
 
 def _to_json(entries: list[dict]) -> str:
     """`json.dumps(entries, indent=2)`, which would run the pure-Python
     encoder over every value: each entry is laid out by the template of its
-    shape, with every leaf encoded in one C-encoded `json.dumps` call, and
-    every contour's points ((k, 2) arrays, replaced in `entries` by a mark)
+    shape, made once per shape and indent in this call (the contours of one
+    entry share theirs), with every leaf encoded in one C-encoded
+    `json.dumps` call, and every contour's points ((k, 2) arrays, replaced in `entries` by a mark)
     by one format of `_POINT` repeated."""
     if not entries:
         return "[]"
-    points, leaves, templates, layout = [], [], {}, []
+    points, leaves, memo, layout = [], [], {}, []
     for entry in entries:
         for contour in entry.get("contours", ()):
             points.append(contour["points"])
             contour["points"] = _POINTS_MARK
-        shape = _shape(entry, leaves)
-        if shape not in templates:
-            templates[shape] = _template(shape, "\n  ")
-        layout.append(templates[shape])
+        layout.append(_template(_shape(entry, leaves), "\n  ", memo))
     # An encoded leaf holds no raw newline, so newlines can separate them.
     values = json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n")
     parts = (("[\n  " + ",\n  ".join(layout) + "\n]") % tuple(values)).split(f'"{_POINTS_MARK}"')
@@ -178,25 +180,26 @@ def _curves_entry(g, labels, cid) -> tuple[dict, bool]:
     table = labels.curves
     if not table.ok[cid]:
         curves.trace_contours(g, corners.ComponentContext.of_label(labels, cid))
-    acct = table.accounting(cid)
+    counts = table.counts(cid)
+    lhs, rhs, identity = curves.accounting_identity(counts)
     entry = {
         "component_id": cid,
         "contours": [],
-        "accounting": {"lhs": acct.lhs, "rhs": acct.rhs, "holds": acct.holds},
+        "accounting": {"lhs": lhs, "rhs": rhs, "holds": identity},
     }
-    for (kind, points), cc in zip(table.contours(cid), acct.curve_censuses):
-        lemma = (cc.cp2 - cc.cp4 if kind == curves.OUTER else cc.cp4 - cc.cp2) == 4
+    for (kind, points), (cp2, cp3, cp4) in zip(table.contours(cid), counts):
+        lemma = (cp2 - cp4 if kind == curves.OUTER else cp4 - cp2) == 4
         entry["contours"].append(
             {
                 "kind": kind,
                 "points": points,
-                "cp2": cc.cp2,
-                "cp3": cc.cp3,
-                "cp4": cc.cp4,
+                "cp2": cp2,
+                "cp3": cp3,
+                "cp4": cp4,
                 "lemma_holds": lemma,
             }
         )
-    holds = acct.holds and all(c["lemma_holds"] for c in entry["contours"])
+    holds = identity and all(c["lemma_holds"] for c in entry["contours"])
     return entry, holds
 
 
@@ -292,7 +295,7 @@ def oracle_path(g: grid.BinaryGrid) -> tuple[int, int]:
     total = 0
     for cid in range(1, labels.component_count + 1):
         ctx = corners.ComponentContext.of_label(labels, cid)
-        total += holes_in_mask(ctx)
+        total += ctx.complement[1] - 1  # the crop's own labeling, which the model counts
         touches += (4 + 5) * ctx.mask.size
     return total, touches
 

@@ -82,6 +82,13 @@ class AccountingResult:
     curve_censuses: tuple[CurveCensus, ...]
 
 
+def accounting_identity(rows) -> tuple[int, int, bool]:
+    """lhs, rhs and holds of `AccountingResult` from the (cp2, cp3, cp4) of
+    each contour of a component, the outer one first."""
+    lhs, rhs = sum(cp4 - cp2 for cp2, _, cp4 in rows), -4 + 4 * (len(rows) - 1)
+    return lhs, rhs, lhs == rhs
+
+
 def _walk(mask: np.ndarray, start: Point2, heading: Point2) -> list[Point2]:
     """Left-hand-rule pixel walk; returns the cycle starting at `start`.
 
@@ -207,16 +214,20 @@ class CurveTable:
             for i in range(self._rows[cid], self._rows[cid + 1])
         ]
 
+    def counts(self, cid: int) -> list[list[int]]:
+        """cp2, cp3 and cp4 of each contour of row `cid`, the outer one first."""
+        return self._census[self._rows[cid] : self._rows[cid + 1]]
+
     def accounting(self, cid: int) -> AccountingResult:
         """What `second_proof_accounting` gives on the component of row `cid`."""
-        rows = self._census[self._rows[cid] : self._rows[cid + 1]]
+        rows = self.counts(cid)
         cp2, cp3, cp4 = map(sum, zip(*rows))
-        holes = len(rows) - 1
+        lhs, rhs, holds = accounting_identity(rows)
         return AccountingResult(
-            lhs=cp4 - cp2,
-            rhs=-4 + 4 * holes,
-            holds=cp4 - cp2 == -4 + 4 * holes,
-            hole_count=holes,
+            lhs=lhs,
+            rhs=rhs,
+            holds=holds,
+            hole_count=len(rows) - 1,
             census_match=[cp2, cp3, cp4] == self.table.classes[cid, 2:].tolist(),
             curve_censuses=tuple(CurveCensus(*k) for k in rows),
         )

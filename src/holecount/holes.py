@@ -71,8 +71,9 @@ def analyze_component(
     validation ran and failed: the 4-connected complement of a component
     whose boundary is not a set of simple closed curves does not count its
     holes (with validation off, the oracle runs on every component). The
-    oracle isolates the component on a padded crop, so border contact is
-    harmless here.
+    oracle isolates the component in its ringed box on the image's mosaic
+    (`labeling.hole_regions`, labelled once for all components), so border
+    contact is harmless here.
     """
     if labels is None:
         labels = label_components(g, "foreground")

@@ -32,11 +32,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyComponentError, InvalidSurfaceError, MultipleSurfaceComponentsError, ThinSolidError
 from .grid import BinaryGrid
 from .corners import ComponentContext, bounding_box
+from .labeling import label_mask, label_runs
 
 Point3 = tuple[int, int, int]
 Face = tuple[Point3, int]
@@ -48,7 +48,6 @@ _HIGH = tuple(tuple(slice(1, None) if i == 2 - a else slice(None) for i in range
 # Doubled-lattice parity of the edges of each direction and the faces of each normal.
 _EDGE_PARITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _FACE_PARITY = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-_SIX = ndimage.generate_binary_structure(3, 1)
 
 
 def _spread(a: np.ndarray, axis: int, out: np.ndarray, op=np.add) -> None:
@@ -258,7 +257,7 @@ def euler_genus_oracle(sc: SurfaceComplex) -> int:
     for dim in (1, 2):
         for _, parity, mask, _ in sc._families(dim):
             lattice[_sublattice(parity)] = mask
-    labels, n = ndimage.label(lattice, structure=_SIX)
+    labels, n = label_runs(lattice)
     if n > 1:
         raise MultipleSurfaceComponentsError(_component_chis(sc, labels, n))
     chi = np.count_nonzero(sc.vertex_class) - sum(map(np.count_nonzero, sc.edge_degree))
@@ -301,8 +300,9 @@ class SurfaceTable:
     `classify_surface_points` and `euler_genus_oracle`: it has a cube, every
     surface edge lies in 2 surface faces, every point has 3 or more surface
     neighbors, and it is one piece. The surface of R x [1, 2] is connected
-    iff R, the union of the cubes seen from above, is; one 8-connected
-    labeling of the cubes counts its pieces.
+    iff R, the union of the cubes seen from above, is; one labeling of the
+    cubes counts its pieces. It is 4-connected: cubes that meet only at a
+    corner share a vertical edge of 4 faces, which is not clean anyway.
     """
 
     def __init__(self, labels: np.ndarray, n: int):
@@ -326,7 +326,7 @@ class SurfaceTable:
         points = sum(np.bincount(np.add(own7, v, out=key).ravel(), minlength=7 * (n + 1)) for v in vertex_class)
         self.points = points.reshape(n + 1, 7)
         self.genus = (2 - np.bincount(own.ravel(), weights=chi.ravel(), minlength=n + 1).astype(int)) // 2
-        pieces, count = ndimage.label(cubes[0], structure=np.ones((3, 3)))
+        pieces, count = label_mask(cubes[0])
         owner = np.zeros(count + 1, dtype=np.intp)
         owner[pieces] = own[:-1, :-1]
         self.clean = np.bincount(owner[1:], minlength=n + 1) == 1

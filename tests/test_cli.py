@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,14 +286,12 @@ def test_bad_arguments_exit_1(capsys, argv):
 
 
 def test_curves_failed_identity_exit_2(tmp_path, capsys, monkeypatch):
-    from dataclasses import replace
-
     path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
-    real = cli.curves.CurveTable.accounting
+    real = cli.curves.CurveTable.counts
     monkeypatch.setattr(
         cli.curves.CurveTable,
-        "accounting",
-        lambda self, cid: replace(real(self, cid), holds=False),
+        "counts",
+        lambda self, cid: [[cp2 + 1, cp3, cp4] for cp2, cp3, cp4 in real(self, cid)],
     )
     code, out, _ = run_cli(capsys, "curves", path)
     assert code == cli.EXIT_DISAGREEMENT
@@ -297,17 +299,16 @@ def test_curves_failed_identity_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_curves_failed_lemma_exit_2(tmp_path, capsys, monkeypatch):
-    from dataclasses import replace
-
     path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
-    real = cli.curves.CurveTable.accounting
+    real = cli.curves.CurveTable.counts
 
     def tampered(self, cid):
-        acct = real(self, cid)
-        first = replace(acct.curve_censuses[0], cp2=0)
-        return replace(acct, curve_censuses=(first,) + acct.curve_censuses[1:])
+        # One cp2 moves from the outer contour to the hole's: the sums, and
+        # so the accounting, stay as they were.
+        (a2, a3, a4), (b2, b3, b4) = real(self, cid)
+        return [[a2 - 1, a3, a4], [b2 + 1, b3, b4]]
 
-    monkeypatch.setattr(cli.curves.CurveTable, "accounting", tampered)
+    monkeypatch.setattr(cli.curves.CurveTable, "counts", tampered)
     code, out, _ = run_cli(capsys, "curves", path)
     assert code == cli.EXIT_DISAGREEMENT
     assert json.loads(out)[0]["accounting"]["holds"] is True
@@ -333,3 +334,13 @@ def test_curves_json_is_json_dumps_layout(tmp_path, capsys):
     entries = json.loads(out)
     assert [len(e["contours"]) for e in entries] == [3, 1]
     assert out == json.dumps(entries, indent=2) + "\n"
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only: a fresh process that imports the CLI
+    has no scipy module loaded (scipy serves the tests as a reference)."""
+    src = str(Path(hc.__file__).resolve().parents[1])
+    code = "import sys, holecount.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

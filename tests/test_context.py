@@ -343,21 +343,24 @@ def image_work(work):
     return {name: [args[0].size for args in calls] for name, calls in work.items()}
 
 
-def test_analyze_work_grows_with_crops(monkeypatch):
-    """One table pass over the image gives every census and validity; per
-    component only the oracle labels the complement of its crop."""
-    g = tile(4, 5)
-    k = 20
+def test_analyze_labels_the_image_and_the_mosaic(monkeypatch):
+    """One table pass over the image gives every census and validity, and
+    one labelling of the mosaic every oracle count: a request labels twice,
+    the image and then the mosaic, and labels no crop."""
+    g = tile(2, 3)
     work = count_work(monkeypatch)
     labeled = count_calls(monkeypatch, labeling, "label_mask")
     reports = hc.analyze_image(g)
-    assert len(reports) == k and all(rep.agreement for rep in reports)
+    assert len(reports) == 6 and all(rep.agreement for rep in reports)
+    assert [rep.holes_oracle for rep in reports] == [(i + j) % 3 for i in range(2) for j in range(3)]
     once = [g.cells.size]
     assert image_work(work) == {
         "neighbor_counts": once, "diagonal_pairs": once, "_positions": [], "trace_contours": []
     }
-    crop = 12 * 12  # each 10 x 10 rectangle plus its background ring
-    assert [mask.size for mask, in labeled] == [g.cells.size] + [crop] * k
+    image, mosaic = (mask for mask, in labeled)
+    assert image.shape == g.cells.shape
+    # The six ringed 10 x 10 boxes, not one 12 x 12 crop.
+    assert mosaic.size >= 6 * 12 * 12
 
 
 def test_genus3d_reads_validity_from_the_table(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ from scipy import ndimage
 
 import holecount as hc
 from holecount.errors import BorderContactError, UnknownComponentError
-from holecount.labeling import holes_in_mask, label_mask
+from holecount.labeling import LabelMap, holes_in_mask, label_mask, label_runs
 
 
 def test_matrix5_single_component(m5):
@@ -164,3 +164,119 @@ def test_holes_in_mask_matches_oracle(m5, m7):
     assert holes_in_mask(m7.cells.tolist()) == 1
     assert holes_in_mask([[1, 1, 1, 1], [1, 0, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]]) == 1
     assert holes_in_mask([[1, 1, 1], [1, 0, 1], [1, 1, 1]]) == 1
+
+
+def rings(k):
+    """k nested square rings of 1-thick walls, each in the hole of the one
+    around it, a 1-wide gap apart: k components."""
+    side = 4 * k - 1
+    arr = np.zeros((side, side), dtype=bool)
+    for i in range(k):
+        arr[2 * i : side - 2 * i, 2 * i : side - 2 * i] = True
+        arr[2 * i + 1 : side - 2 * i - 1, 2 * i + 1 : side - 2 * i - 1] = False
+    return arr
+
+
+def spiral(side, wall):
+    """A square spiral of `wall`-thick walls and `wall`-wide corridors."""
+    arr = np.zeros((side, side), dtype=bool)
+    r = c = 0
+    legs = [side - wall] + [m for m in range(side - wall, 0, -2 * wall) for _ in range(2)]
+    for (dr, dc), m in zip([(0, 1), (1, 0), (0, -1), (-1, 0)] * side, legs):
+        r2, c2 = r + dr * m, c + dc * m
+        arr[min(r, r2) : max(r, r2) + wall, min(c, c2) : max(c, c2) + wall] = True
+        r, c = r2, c2
+    return arr
+
+
+def comb(teeth, length, wall):
+    """A `wall`-thick bar with `teeth` `wall`-wide teeth of `length`, `wall` apart."""
+    arr = np.zeros((length + wall, (2 * teeth - 1) * wall), dtype=bool)
+    arr[:wall] = True
+    for t in range(teeth):
+        arr[wall:, 2 * t * wall : (2 * t + 1) * wall] = True
+    return arr
+
+
+@st.composite
+def masks_2d(draw):
+    """Raw masks (empty, 0 x n, 1 x n and n x 1 included), nested rings,
+    spirals and combs, each maybe negated or transposed."""
+    kind = draw(st.sampled_from(["raw", "rings", "spiral", "comb"]))
+    if kind == "raw":
+        mask = draw(arrays(bool, st.tuples(st.integers(0, 30), st.integers(0, 30))))
+    elif kind == "rings":
+        mask = rings(draw(st.integers(1, 8)))
+    elif kind == "spiral":
+        mask = spiral(draw(st.integers(1, 40)), draw(st.integers(1, 3)))
+    else:
+        mask = comb(draw(st.integers(1, 12)), draw(st.integers(0, 20)), draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        mask = ~mask
+    return mask.T if draw(st.booleans()) else mask
+
+
+def assert_labels_as_ndimage(mask):
+    """`ndimage.label`'s default structure is face connectivity."""
+    labels, n = label_runs(mask)
+    expected, n_expected = ndimage.label(mask)
+    assert n == n_expected and type(n) is int
+    assert labels.dtype == expected.dtype and labels.flags.c_contiguous
+    np.testing.assert_array_equal(labels, expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(masks_2d())
+@example(np.zeros((0, 0), dtype=bool))
+@example(np.zeros((0, 5), dtype=bool))
+@example(np.ones((1, 9), dtype=bool))
+@example(np.ones((9, 1), dtype=bool))
+@example(spiral(61, 1))
+@example(comb(30, 40, 1))
+@example(rings(12))
+def test_label_runs_is_ndimage_label_in_2d(mask):
+    """Same ids, count and dtype as `ndimage.label`; and the boxes of
+    `LabelMap` are `find_objects`' (which has no answer for zero-size arrays)."""
+    assert_labels_as_ndimage(mask)
+    if mask.size:
+        labels = LabelMap(*label_mask(mask))
+        assert labels.slices == ndimage.find_objects(labels.labels)
+
+
+def hollow_cubes(k):
+    """k nested hollow cubes, 1-thick, each in the cavity of the one around it."""
+    side = 4 * k - 1
+    arr = np.zeros((side, side, side), dtype=bool)
+    for i in range(k):
+        inner = slice(2 * i + 1, side - 2 * i - 1)
+        arr[(slice(2 * i, side - 2 * i),) * 3] = True
+        arr[inner, inner, inner] = False
+    return arr
+
+
+def layers(plane, k):
+    """The first k of: a 2D mask, an empty layer, the mask, its complement.
+    Parts of the mask apart in its plane meet only through other layers."""
+    return np.stack([plane, np.zeros_like(plane), plane, ~plane][:k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        arrays(bool, st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))),
+        st.integers(1, 4).map(hollow_cubes),
+        st.builds(layers, st.builds(spiral, st.integers(1, 20), st.integers(1, 2)), st.integers(1, 4)),
+    ),
+    st.booleans(),
+)
+@example(np.zeros((0, 3, 3), dtype=bool), False)
+@example(np.ones((1, 1, 9), dtype=bool), False)
+@example(np.ones((9, 1, 1), dtype=bool), False)
+def test_label_runs_is_ndimage_label_in_3d(mask, negate):
+    assert_labels_as_ndimage(~mask if negate else mask)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2, 2)])
+def test_label_runs_refuses_other_dimensions(shape):
+    with pytest.raises(ValueError):
+        label_runs(np.ones(shape, dtype=bool))

@@ -14,10 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import ndimage
 
 import holecount as hc
-from holecount import cli, solid3d
+from holecount import cli, labeling, solid3d
 from holecount.errors import (
     HolecountError,
     InvalidSurfaceError,
@@ -337,8 +336,9 @@ def test_genus3d_builds_no_point_sets(tmp_path, capsys, monkeypatch):
     for name, seen in calls.items():
         original = getattr(solid3d, name)
         monkeypatch.setattr(solid3d, name, lambda *a, f=original, seen=seen: seen.append(a) or f(*a))
-    labeled, label = [], ndimage.label
-    monkeypatch.setattr(ndimage, "label", lambda a, *r, **k: labeled.append(a.shape) or label(a, *r, **k))
+    labeled, label = [], labeling.label_runs
+    for module in (labeling, solid3d):  # `solid3d` holds its own binding
+        monkeypatch.setattr(module, "label_runs", lambda a: labeled.append(a.shape) or label(a))
     decoded = []
     monkeypatch.setattr(solid3d.SurfaceComplex, "_cells", lambda self, dim: decoded.append(dim) or {})
     monkeypatch.setattr(solid3d.VoxelSolid, "points", property(lambda self: decoded.append("points")))
