@@ -61,7 +61,7 @@ def cmd_analyze(args) -> int:
         g, run_oracle=args.oracle == "on", run_validation=args.validate == "on"
     )
     if args.output == "json":
-        print(_to_json([rep.to_dict() for rep in reports]))
+        print(_records_json([rep.to_dict() for rep in reports]))
     else:
         print(render_annotations(g, reports))
         for rep in reports:
@@ -83,171 +83,167 @@ def _invalid(g, labels, cid) -> bool:
     return not validity.valid
 
 
-def _each_valid_component(args, entry_of, check_first=False) -> int:
-    """Print `entry_of(g, labels, cid) -> (entry, holds)` of every component
-    as JSON. Stops with EXIT_INPUT at the first invalid component, naming its
-    reasons, or at the first entry that raises; exits EXIT_DISAGREEMENT when
-    some entry's identities fail. With `check_first`, for entries that
-    cannot fail on a valid component, no entry is made until every
-    component is known to be valid, so none is made that is not printed."""
-    g = _read_grid(args)
-    labels = label_components(g, "foreground")
+def _each_valid_component(g, labels, row_of, check_first=False) -> list | None:
+    """`row_of(g, labels, cid)` of every component in order, or None when
+    one stops the request: the first invalid component, whose reasons are
+    printed, or the first whose `row_of` raises, whose error is printed.
+    With `check_first`, every component is known to be valid before any
+    `row_of` runs. This per-component loop is the error path of `curves`
+    and `genus3d`."""
     cids = range(1, labels.component_count + 1)
     if check_first and any(_invalid(g, labels, cid) for cid in cids):
-        return EXIT_INPUT
-    out, all_hold = [], True
+        return None
+    rows = []
     for cid in cids:
         if not check_first and _invalid(g, labels, cid):
-            return EXIT_INPUT
+            return None
         try:
-            entry, holds = entry_of(g, labels, cid)
+            rows.append(row_of(g, labels, cid))
         except HolecountError as exc:
             print(f"component {cid}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        out.append(entry)
-        all_hold = all_hold and holds
-    print(_to_json(out))
-    return EXIT_OK if all_hold else EXIT_DISAGREEMENT
+            return None
+    return rows
 
 
-# A contour point as json.dumps(..., indent=2) lays it out at its depth:
-# the top list > an entry > "contours" > a contour > "points".
-_POINT = "[\n            %d,\n            %d\n          ]"
-_POINTS_MARK = "@points"
-_NESTED = {dict, list}
+def _object(depth: int, items) -> str:
+    """How `json.dumps(..., indent=2)` lays out an object at `depth` in the
+    printed list: `items` are its keys, each with its value's layout."""
+    pad = "\n" + "  " * depth
+    return "{" + pad + "  " + f",{pad}  ".join(f'"{key}": {value}' for key, value in items) + pad + "}"
 
 
-def _shape(value, leaves: list):
-    """What the indent=2 layout of a JSON value depends on: the keys of its
-    dicts and the lengths of its lists. Its scalars and empty containers
-    are appended to `leaves`, in the order they are written."""
-    if type(value) is dict and value:
-        if _NESTED.isdisjoint(map(type, value.values())):
-            leaves.extend(value.values())
-            return tuple(value)
-        return tuple((key, _shape(v, leaves)) for key, v in value.items())
-    if type(value) is list and value:
-        return (None, *[_shape(v, leaves) for v in value])
-    leaves.append(value)
-    return None
+def _array(depth: int, parts: list[str]) -> str:
+    """Likewise for a list at `depth` whose values are laid out as `parts`."""
+    pad = "\n" + "  " * depth
+    return "[" + pad + "  " + f",{pad}  ".join(parts) + pad + "]" if parts else "[]"
 
 
-def _template(shape, pad: str, memo: dict) -> str:
-    """The indent=2 layout of a value of that shape at the indent of `pad`,
-    with %s for each leaf; `memo` keeps the layouts made, by shape and pad."""
-    if shape is None:
-        return "%s"
-    if (shape, pad) not in memo:
-        inner = pad + "  "
-        if shape[0] is None:  # a list
-            memo[shape, pad] = "[" + ",".join([inner + _template(s, inner, memo) for s in shape[1:]]) + pad + "]"
-        else:
-            items = [(key, None) if type(key) is str else key for key in shape]
-            parts = [f"{inner}{json.dumps(k)}: {_template(s, inner, memo)}" for k, s in items]
-            memo[shape, pad] = "{" + ",".join(parts) + pad + "}"
-    return memo[shape, pad]
+_BOOL = ("false", "true")
+_POINT = _array(5, ["%d", "%d"])
+_CONTOUR = _object(3, [
+    ("kind", '"%s"'), ("points", "%s"), ("cp2", "%d"), ("cp3", "%d"), ("cp4", "%d"), ("lemma_holds", "%s")
+])
+_CURVES = _object(1, [
+    ("component_id", "%d"),
+    ("contours", "%s"),
+    ("accounting", _object(2, [("lhs", "%d"), ("rhs", "%d"), ("holds", "%s")])),
+])
+_CHECKS = ("m6_zero", "m3_eq_2c2", "m5_eq_2c4", "genus_eq_holes", "genus_eq_euler", "simply_connected_identity")
+# Without and with the identity that only a genus-0 entry checks.
+_GENUS3D = [
+    _object(1, [
+        *[(key, "%d") for key in ("component_id", "m3", "m4", "m5", "m6", "genus_formula", "euler_genus_oracle")],
+        ("checks", _object(2, [(key, "%s") for key in _CHECKS[:k]])),
+    ])
+    for k in (5, 6)
+]
 
 
-def _to_json(entries: list[dict]) -> str:
-    """`json.dumps(entries, indent=2)`, which would run the pure-Python
-    encoder over every value: each entry is laid out by the template of its
-    shape, made once per shape and indent in this call (the contours of one
-    entry share theirs), with every leaf encoded in one C-encoded
-    `json.dumps` call, and every contour's points ((k, 2) arrays, replaced in `entries` by a mark)
-    by one format of `_POINT` repeated."""
-    if not entries:
+def _print_list(entries: list[str]) -> None:
+    """Prints laid-out entries as the list `json.dumps(..., indent=2)`
+    writes, one entry at a time: no string the size of the output is built."""
+    for i, entry in enumerate(entries):
+        sys.stdout.write(("[" if i == 0 else ",") + "\n  " + entry)
+    print("\n]" if entries else "[]")
+
+
+def _records_json(records: list[dict]) -> str:
+    """`json.dumps(records, indent=2)` of dicts with the same keys, whose
+    values are numbers, booleans or None: one template, filled from one
+    C-encoded `json.dumps` of all the values."""
+    if not records:
         return "[]"
-    points, leaves, memo, layout = [], [], {}, []
-    for entry in entries:
-        for contour in entry.get("contours", ()):
-            points.append(contour["points"])
-            contour["points"] = _POINTS_MARK
-        layout.append(_template(_shape(entry, leaves), "\n  ", memo))
-    # An encoded leaf holds no raw newline, so newlines can separate them.
-    values = json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n")
-    parts = (("[\n  " + ",\n  ".join(layout) + "\n]") % tuple(values)).split(f'"{_POINTS_MARK}"')
-    out = [parts[0]]
-    for pts, part in zip(points, parts[1:]):
-        body = ",\n          ".join([_POINT] * len(pts)) % tuple(np.ravel(pts).tolist())
-        out += ["[\n          ", body, "\n        ]", part]
-    return "".join(out)
+    values = json.dumps([v for r in records for v in r.values()], separators=(",", ":"))
+    return _array(0, [_object(1, [(key, "%s") for key in records[0]])] * len(records)) % tuple(values[1:-1].split(","))
 
 
-def _curves_entry(g, labels, cid) -> tuple[dict, bool]:
-    """Row `cid` of the image's contour table. A row whose contours fail is
-    traced on its own, which raises the error naming the first revisited
-    point."""
-    table = labels.curves
-    if not table.ok[cid]:
+def _curves_row(g, labels, cid) -> None:
+    """A row of the image's contour table that fails its check is traced on
+    its own, which raises the error naming the first revisited point."""
+    if not labels.curves.ok[cid]:
         curves.trace_contours(g, corners.ComponentContext.of_label(labels, cid))
-    counts = table.counts(cid)
-    lhs, rhs, identity = curves.accounting_identity(counts)
-    entry = {
-        "component_id": cid,
-        "contours": [],
-        "accounting": {"lhs": lhs, "rhs": rhs, "holds": identity},
-    }
-    for (kind, points), (cp2, cp3, cp4) in zip(table.contours(cid), counts):
-        lemma = (cp2 - cp4 if kind == curves.OUTER else cp4 - cp2) == 4
-        entry["contours"].append(
-            {
-                "kind": kind,
-                "points": points,
-                "cp2": cp2,
-                "cp3": cp3,
-                "cp4": cp4,
-                "lemma_holds": lemma,
-            }
-        )
-    holds = identity and all(c["lemma_holds"] for c in entry["contours"])
-    return entry, holds
-
-
-def _genus3d_entry(g, labels, cid) -> tuple[dict, bool]:
-    """Surface census and Euler genus from row `cid` of the image's surface
-    table if clean; else, or if the loop will stop at an invalid component,
-    from the component's own surface, whose errors name the first bad cell."""
-    census2d = labels.table.census(cid)
-    if labels.table.valid.all() and labels.surface.clean[cid]:
-        census = labels.surface.census(cid)
-        g_formula = solid3d.genus_by_formula(census)
-        g_euler = labels.surface.euler_genus(cid)
-    else:
-        ctx = corners.ComponentContext.of_label(labels, cid)
-        sc = solid3d.extract_surface(solid3d.double_component(g, ctx))
-        census = solid3d.classify_surface_points(sc)
-        g_formula = solid3d.genus_by_formula(census)
-        g_euler = solid3d.euler_genus_oracle(sc)
-    checks = {
-        "m6_zero": census.m6 == 0,
-        "m3_eq_2c2": census.m3 == 2 * census2d.c2,
-        "m5_eq_2c4": census.m5 == 2 * census2d.c4,
-        "genus_eq_holes": g_formula == holes.holes_by_formula(census2d),
-        "genus_eq_euler": g_formula == g_euler,
-    }
-    if g_formula == 0:
-        checks["simply_connected_identity"] = solid3d.check_simply_connected_identity(census)
-    entry = {
-        "component_id": cid,
-        "m3": census.m3,
-        "m4": census.m4,
-        "m5": census.m5,
-        "m6": census.m6,
-        "genus_formula": g_formula,
-        "euler_genus_oracle": g_euler,
-        "checks": checks,
-    }
-    return entry, all(checks.values())
 
 
 def cmd_curves(args) -> int:
-    # A valid component's contours partition its boundary (see
-    # `corners.ComponentTable`), so its entry does not fail.
-    return _each_valid_component(args, _curves_entry, check_first=True)
+    """Every contour and its counts, from the image's contour table. A valid
+    component's contours partition its boundary (see
+    `corners.ComponentTable`), so its row passes the table's check; on any
+    other image the per-component loop finds where the request stops."""
+    g = _read_grid(args)
+    labels = label_components(g, "foreground")
+    if not (labels.table.valid.all() and labels.curves.ok.all()):
+        if _each_valid_component(g, labels, _curves_row, check_first=True) is None:
+            return EXIT_INPUT
+    table = labels.curves
+    rows, begin, xy = table.rows, table.begin, table.points.ravel().tolist()
+    blocks, entries, holds = {}, [], True  # blocks: the layout of k points, by k
+    for cid in range(1, labels.component_count + 1):
+        counts = table.counts(cid)
+        contours = []
+        for i, (cp2, cp3, cp4) in enumerate(counts, rows[cid]):
+            kind = curves.OUTER if i == rows[cid] else curves.HOLE
+            lemma = (cp2 - cp4 if kind == curves.OUTER else cp4 - cp2) == 4
+            k = begin[i + 1] - begin[i]
+            if k not in blocks:
+                blocks[k] = _array(4, [_POINT] * k)
+            points = blocks[k] % tuple(xy[2 * begin[i] : 2 * begin[i + 1]])
+            contours.append(_CONTOUR % (kind, points, cp2, cp3, cp4, _BOOL[lemma]))
+            holds = holds and lemma
+        lhs, rhs, identity = curves.accounting_identity(counts)
+        entries.append(_CURVES % (cid, _array(2, contours), lhs, rhs, _BOOL[identity]))
+        holds = holds and identity
+    _print_list(entries)
+    return EXIT_OK if holds else EXIT_DISAGREEMENT
+
+
+def _genus3d_row(g, labels, cid) -> list[int]:
+    """m3, m4, m5, m6 and the Euler genus of the component's own surface.
+    Unlike a table row, it raises where the request stops: on a surface
+    that is not clean, naming the first bad cell, or on a formula that does
+    not divide."""
+    ctx = corners.ComponentContext.of_label(labels, cid)
+    sc = solid3d.extract_surface(solid3d.double_component(g, ctx))
+    census = solid3d.classify_surface_points(sc)
+    solid3d.genus_by_formula(census)
+    g_euler = solid3d.euler_genus_oracle(sc)
+    holes.holes_by_formula(labels.table.census(cid))
+    return [census.m3, census.m4, census.m5, census.m6, g_euler]
 
 
 def cmd_genus3d(args) -> int:
-    return _each_valid_component(args, _genus3d_entry)
+    """Surface census, both genera and their checks, as whole columns: read
+    from the image's tables when every component is valid, its surface row
+    clean and both formulas divide, else from the per-component loop. The
+    formulas are those of `solid3d.genus_by_formula`,
+    `holes.holes_by_formula` and `solid3d.check_simply_connected_identity`
+    on whole arrays; `tests/test_cli_reference.py` holds them to those."""
+    g = _read_grid(args)
+    labels = label_components(g, "foreground")
+    table, rows = labels.table, None
+    c2, c4 = table.classes[1:, 2], table.classes[1:, 4]
+    if table.valid.all():
+        surface = labels.surface
+        rows = np.column_stack([surface.points[1:, 3:], surface.genus[1:]])
+        m3, _, m5, m6, _ = rows.T
+        divides = ((m5 + 2 * m6 - m3) % 8 == 0) & ((c4 - c2) % 4 == 0)
+        if not (surface.clean[1:] & divides).all():
+            rows = None
+    if rows is None:
+        rows = _each_valid_component(g, labels, _genus3d_row)
+        if rows is None:
+            return EXIT_INPUT
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 5)
+    m3, _, m5, m6, g_euler = rows.T
+    genus = 1 + (m5 + 2 * m6 - m3) // 8
+    checks = np.stack([
+        m6 == 0, m3 == 2 * c2, m5 == 2 * c4, genus == 1 + (c4 - c2) // 4, genus == g_euler, m3 == 8 + m5 + 2 * m6
+    ], axis=1)
+    simple = genus == 0
+    ints = np.column_stack([np.arange(1, len(rows) + 1), rows[:, :4], genus, g_euler]).tolist()
+    marks = np.take(_BOOL, checks).tolist()
+    _print_list([_GENUS3D[s] % (*v, *m[: 5 + s]) for s, v, m in zip(simple.tolist(), ints, marks)])
+    holds = checks[:, :5].all() and checks[simple, 5].all()
+    return EXIT_OK if holds else EXIT_DISAGREEMENT
 
 
 def cmd_gen(args) -> int:

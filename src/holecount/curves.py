@@ -131,7 +131,9 @@ class CurveTable:
     2^j. Row `cid` is `ok` when each of its walks ends where it started and
     its contours visit each of its boundary cells once; they are then
     `_walk`'s, point for point. `points` holds every contour's cells in
-    order, at `labels`' positions plus `offset`; `table` is the
+    order, at `labels`' positions plus `offset`: row `cid` has contours
+    `rows[cid]` to `rows[cid + 1]`, the outer one first, and contour i the
+    points `begin[i]` to `begin[i + 1]`. `table` is the
     `corners.ComponentTable` whose boundary and classes they are read from.
     """
 
@@ -160,9 +162,9 @@ class CurveTable:
         own = labels.ravel()[cells]
         holes, firsts = regions
         per = 1 + holes[1:]  # contours per component
-        self._rows = np.cumsum(np.r_[0, 0, per]).tolist()  # row cid: contours [cid] to [cid + 1]
+        self.rows = np.cumsum(np.r_[0, 0, per]).tolist()
         outer = np.zeros(per.sum(), dtype=bool)
-        outer[self._rows[1:-1]] = True
+        outer[self.rows[1:-1]] = True
         head = np.empty(outer.size, dtype=np.intp)
         # Labels number components by first cell, a boundary cell.
         head[outer] = np.flatnonzero(np.diff(np.maximum.accumulate(own), prepend=0))
@@ -202,21 +204,21 @@ class CurveTable:
         classes = table.direct.ravel()[cells[path]]
         census = np.bincount(np.repeat(np.arange(outer.size) * 5, length) + classes, minlength=5 * outer.size)
         self._census = census.reshape(-1, 5)[:, 2:].tolist()
-        self._begin = np.append(begin, path.size).tolist()
+        self.begin = np.append(begin, path.size).tolist()
         self.points = np.stack(divmod(cells[path], width), axis=1) + offset
 
     def contours(self, cid: int) -> list[tuple[str, np.ndarray]]:
         """Kind and points ((k, 2) rows of `points`) of each contour of row
         `cid`, the outer one first."""
-        begin = self._begin
+        begin = self.begin
         return [
-            (OUTER if i == self._rows[cid] else HOLE, self.points[begin[i] : begin[i + 1]])
-            for i in range(self._rows[cid], self._rows[cid + 1])
+            (OUTER if i == self.rows[cid] else HOLE, self.points[begin[i] : begin[i + 1]])
+            for i in range(self.rows[cid], self.rows[cid + 1])
         ]
 
     def counts(self, cid: int) -> list[list[int]]:
         """cp2, cp3 and cp4 of each contour of row `cid`, the outer one first."""
-        return self._census[self._rows[cid] : self._rows[cid + 1]]
+        return self._census[self.rows[cid] : self.rows[cid + 1]]
 
     def accounting(self, cid: int) -> AccountingResult:
         """What `second_proof_accounting` gives on the component of row `cid`."""

@@ -332,13 +332,6 @@ class SurfaceTable:
         self.clean = np.bincount(owner[1:], minlength=n + 1) == 1
         self.clean &= ~self.points[:, 1:3].any(axis=1) & (np.bincount(own[bad], minlength=n + 1) == 0)
 
-    def census(self, cid: int) -> SurfaceCensus:
-        return SurfaceCensus(*self.points[cid, 3:].tolist())
-
-    def euler_genus(self, cid: int) -> int:
-        """What `euler_genus_oracle` gives on the surface of a clean row."""
-        return int(self.genus[cid])
-
 
 def export_obj(sc: SurfaceComplex) -> str:
     """Plain OBJ text (vertex list + quad faces) for visual inspection."""

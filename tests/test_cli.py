@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import holecount as hc
@@ -315,24 +316,45 @@ def test_curves_failed_lemma_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_genus3d_failed_check_exit_2(tmp_path, capsys, monkeypatch):
+    # The writer reads every row's Euler genus from the table's `genus` column.
     path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
-    monkeypatch.setattr(cli.solid3d.SurfaceTable, "euler_genus", lambda self, cid: 7)
+    real = cli.solid3d.SurfaceTable.__init__
+
+    def tampered(self, labels, n):
+        real(self, labels, n)
+        self.genus = np.full_like(self.genus, 7)
+
+    monkeypatch.setattr(cli.solid3d.SurfaceTable, "__init__", tampered)
     code, out, _ = run_cli(capsys, "genus3d", path)
     assert code == cli.EXIT_DISAGREEMENT
     assert json.loads(out)[0]["checks"]["genus_eq_euler"] is False
 
 
+# Two components, one with two holes and one with none.
+TWO = ["000000000000000", "011111111001110", "011111111001110", "011011011001110",
+       "011111111000000", "011111111000000", "000000000000000"]
+
+
 def test_curves_json_is_json_dumps_layout(tmp_path, capsys):
-    # Two components, one with two holes: the points are laid out by a
-    # template, the rest by json.dumps; together they must read as one
-    # json.dumps(..., indent=2) would write them.
-    rows = ["000000000000000", "011111111001110", "011111111001110", "011011011001110",
-            "011111111000000", "011111111000000", "000000000000000"]
-    path = write(tmp_path, "two.txt", "\n".join(rows) + "\n")
+    # Entries, contours and points are laid out by templates; together they
+    # must read as one json.dumps(..., indent=2) would write them.
+    path = write(tmp_path, "two.txt", "\n".join(TWO) + "\n")
     code, out, _ = run_cli(capsys, "curves", path)
     assert code == cli.EXIT_OK
     entries = json.loads(out)
     assert [len(e["contours"]) for e in entries] == [3, 1]
+    assert out == json.dumps(entries, indent=2) + "\n"
+
+
+def test_genus3d_json_is_json_dumps_layout(tmp_path, capsys):
+    # Genus 2 and genus 0: the entry without and the one with the
+    # simply-connected identity, each from its own template.
+    path = write(tmp_path, "two.txt", "\n".join(TWO) + "\n")
+    code, out, _ = run_cli(capsys, "genus3d", path)
+    assert code == cli.EXIT_OK
+    entries = json.loads(out)
+    assert [e["genus_formula"] for e in entries] == [2, 0]
+    assert ["simply_connected_identity" in e["checks"] for e in entries] == [False, True]
     assert out == json.dumps(entries, indent=2) + "\n"
 
 

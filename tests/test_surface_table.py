@@ -94,5 +94,5 @@ def test_clean_rows_match_each_component_alone(g):
     labels = hc.label_components(g)
     table = labels.surface
     for cid in range(1, labels.component_count + 1):
-        row = (table.census(cid), table.euler_genus(cid)) if table.clean[cid] else None
+        row = (hc.SurfaceCensus(*table.points[cid, 3:].tolist()), int(table.genus[cid])) if table.clean[cid] else None
         assert row == alone(g, labels.mask_of(cid))
