@@ -7,6 +7,7 @@ disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -354,6 +355,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first `main` call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="holecount",

@@ -1,12 +1,14 @@
 """Synthetic shape generation with known ground truth.
 
-Randomness uses numpy's PCG64 generator seeded through SeedSequence, so a
-spec reproduces the exact same grid bytes on any platform.
+Randomness is numpy's PCG64 seeded through SeedSequence. A spec gives the same
+grid bytes on any platform: that rests on PCG64's raw stream and on `_integers`,
+a copy of `Generator.integers`' Lemire step that a test holds equal to numpy's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -107,7 +109,7 @@ def _new_grid(shape, fill: bool) -> np.ndarray:
     """A bool array of `shape` set to `fill`, or a `GenError` if it cannot be."""
     try:
         return np.full(shape, fill, dtype=bool)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
         raise GenError(f"grid {shape[0]}x{shape[1]} too large to allocate") from None
 
 
@@ -130,6 +132,8 @@ def random_rect_spec(seed: int, dims, hole_count: int) -> ShapeSpec:
         raise GenError(f"hole count must be at least 0, got {hole_count}")
     if seed < 0:
         raise GenError(f"seed must be at least 0, got {seed}")
+    if h * w > np.iinfo(np.intp).max:  # numpy could neither draw positions in it nor allocate it
+        raise GenError(f"grid {h}x{w} too large to allocate")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xA5])))
     holes = []
     attempts = 0
@@ -156,36 +160,45 @@ def random_rect_spec(seed: int, dims, hole_count: int) -> ShapeSpec:
     )
 
 
+def _integers(bit_generator):
+    """`Generator.integers(n)` of a fresh PCG64, 1 <= n <= 2**32: Lemire's method on
+    `next_uint32`'s words (each raw output's low half, then its high half). n = 1 takes none."""
+    raw = iter(lambda: bit_generator.random_raw(1024).astype("<u8").view("<u4").tolist(), None)
+    words = chain.from_iterable(raw).__next__
+
+    def draw(n: int) -> int:
+        if n == 1:
+            return 0
+        m = words() * n
+        while m & 0xFFFFFFFF < 0x100000000 % n:  # numpy tests `< n` first; same words
+            m = words() * n
+        return m >> 32
+
+    return draw
+
+
 def _grow_blob(rng, shape, target) -> np.ndarray:
-    """Randomized accretion of a 4-connected blob from the center."""
+    """Randomized accretion of a 4-connected blob from the center. Draws come from `rng`'s
+    raw words, so `rng` must hold no buffered 32-bit half (a fresh one does not); it is left
+    past the words used. The grid is flat bytes: 0 free, 1 frontier, 2 blob, 3 off-grid."""
     h, w = shape
-    mask = np.zeros(shape, dtype=bool)
-    start = (h // 2, w // 2)
-    mask[start] = True
+    stride = w + 2
+    cells = bytearray(np.pad(_new_grid(shape, False), 1, constant_values=True).view(np.uint8) * 3)
+    draw = _integers(rng.bit_generator)
     frontier = []
-    in_frontier = set()
-
-    def push_neighbors(r, c):
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= nr < h and 0 <= nc < w and not mask[nr, nc]:
-                if (nr, nc) not in in_frontier:
-                    in_frontier.add((nr, nc))
-                    frontier.append((nr, nc))
-
-    push_neighbors(*start)
-    area = 1
-    while area < target and frontier:
-        i = int(rng.integers(len(frontier)))
-        r, c = frontier[i]
-        frontier[i] = frontier[-1]
+    p = (h // 2 + 1) * stride + w // 2 + 1
+    for _ in range(target):  # the last pass's draw goes unused
+        cells[p] = 2
+        for q in (p - stride, p + stride, p - 1, p + 1):
+            if not cells[q]:
+                cells[q] = 1
+                frontier.append(q)
+        if not frontier:
+            break
+        i = draw(len(frontier))
+        p, frontier[i] = frontier[i], frontier[-1]
         frontier.pop()
-        in_frontier.discard((r, c))
-        if mask[r, c]:
-            continue
-        mask[r, c] = True
-        area += 1
-        push_neighbors(r, c)
-    return mask
+    return np.frombuffer(cells, np.uint8).reshape(h + 2, stride)[1:-1, 1:-1] == 2
 
 
 def _fill_pathological(mask: np.ndarray) -> np.ndarray:

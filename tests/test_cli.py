@@ -212,6 +212,24 @@ def test_gen_impossible_exit_1(capsys):
     assert err
 
 
+def test_parser_is_built_once_and_keeps_defaults(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, _, _ = run_cli(capsys, "gen", "--dims", "8x8", "--seed", "5", "--format", "pbm")
+    assert code == cli.EXIT_OK
+    code, out, _ = run_cli(capsys, "gen")
+    spec = hc.ShapeSpec(kind=hc.gen.RANDOM_BLOB, dims=(64, 64), seed=0)
+    assert (code, out) == (cli.EXIT_OK, hc.grid.to_ascii01(hc.gen_random_blob(spec)))
+
+
+@pytest.mark.parametrize("kind", ["rect_with_holes", "random_blob"])
+@pytest.mark.parametrize("dims", ["100000000000x100000000000", "99999999999999999999x4"])
+def test_gen_oversize_dims_exit_1(capsys, kind, dims):
+    # Sizes numpy refuses before it allocates anything.
+    code, out, err = run_cli(capsys, "gen", "--kind", kind, "--dims", dims)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == f"error: grid {dims} too large to allocate\n"
+
+
 def test_bench_csv(capsys):
     code, out, _ = run_cli(
         capsys,

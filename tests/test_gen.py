@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,134 @@ def test_fill_pathological_repairs_checkerboard():
     g = hc.BinaryGrid(fixed)
     assert hc.find_pathological(g, fixed).clean
     assert fixed[2, 2] and fixed[3, 3]  # repair only adds cells
+
+
+def _fresh(*entropy):
+    return np.random.PCG64(np.random.SeedSequence(list(entropy)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integers_equals_generator_integers(seed):
+    pick = np.random.default_rng(seed + 1000)
+    bounds = [1, 2, 3, 2**31 + 1, 2**32] * 40 + pick.integers(1, 10**6, 2500).tolist()
+    pick.shuffle(bounds)
+    rng = np.random.Generator(_fresh(seed, 3))
+    draw = gen._integers(_fresh(seed, 3))
+    # 2**31 + 1 rejects about half of all words; the 2,700 draws cross blocks of raw words.
+    assert [draw(n) for n in bounds] == [int(rng.integers(n)) for n in bounds]
+
+
+# The set-of-tuples accretion that drew through `rng.integers`, kept
+# verbatim as the reference for the byte grid and the computed draws.
+def _reference_grow_blob(rng, shape, target) -> np.ndarray:
+    """Randomized accretion of a 4-connected blob from the center."""
+    h, w = shape
+    mask = np.zeros(shape, dtype=bool)
+    start = (h // 2, w // 2)
+    mask[start] = True
+    frontier = []
+    in_frontier = set()
+
+    def push_neighbors(r, c):
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= nr < h and 0 <= nc < w and not mask[nr, nc]:
+                if (nr, nc) not in in_frontier:
+                    in_frontier.add((nr, nc))
+                    frontier.append((nr, nc))
+
+    push_neighbors(*start)
+    area = 1
+    while area < target and frontier:
+        i = int(rng.integers(len(frontier)))
+        r, c = frontier[i]
+        frontier[i] = frontier[-1]
+        frontier.pop()
+        in_frontier.discard((r, c))
+        if mask[r, c]:
+            continue
+        mask[r, c] = True
+        area += 1
+        push_neighbors(r, c)
+    return mask
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 7), (3, 5), (16, 9), (31, 31), (64, 40)])
+@pytest.mark.parametrize("target", [1, 2, 17, 300, 10**6])
+def test_grow_blob_matches_reference(shape, target):
+    for seed in range(6):
+        got = gen._grow_blob(np.random.Generator(_fresh(seed, 0)), shape, target)
+        want = _reference_grow_blob(np.random.Generator(_fresh(seed, 0)), shape, target)
+        assert got.dtype == bool and np.array_equal(got, want)
+
+
+_REPAIR = gen._fill_pathological
+
+
+def _blobs(monkeypatch, specs, retries):
+    """Each spec's grid, or its `GenError` message, when the first
+    `retries` repairs of each spec give up, so the blob is regrown from
+    derived seeds; 64 exhausts the attempt cap."""
+    out = []
+    for spec in specs:
+        calls = []
+
+        def failing(mask):
+            calls.append(mask)
+            if len(calls) <= retries:
+                raise GenError("forced")
+            return _REPAIR(mask)
+
+        monkeypatch.setattr(gen, "_fill_pathological", failing)
+        try:
+            out.append(hc.gen_random_blob(spec).cells)
+        except GenError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize(
+    "dims, target_area, retries",
+    [
+        (dims, area, retries)
+        for dims in [(4, 4), (5, 7), (9, 4), (17, 33), (64, 64), (130, 97)]
+        for area in [None, 1, 6, 50, 10**7]
+        for retries in [0, 3]
+    ]
+    + [((5, 7), None, 64), ((12, 9), 30, 64)],
+)
+def test_gen_random_blob_matches_reference(monkeypatch, dims, target_area, retries):
+    specs = [
+        hc.ShapeSpec(kind=gen.RANDOM_BLOB, dims=dims, seed=seed, target_area=target_area)
+        for seed in (0, 1, 2, 7, 12345)
+    ]
+    got = _blobs(monkeypatch, specs, retries)
+    monkeypatch.setattr(gen, "_grow_blob", _reference_grow_blob)
+    want = _blobs(monkeypatch, specs, retries)
+    for a, b in zip(got, want, strict=True):
+        assert type(a) is type(b) and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (1, "849b257dcb2bdec0a18fd5dbd4cae08863a547084b90d733be66c10f220124e8"),
+        (7, "0d535477b66af9a8a5cad2f18eb882d2871417403ad1c05d6e37a1ed1ea45cfb"),
+    ],
+)
+def test_gen_512_blob_stdout_is_pinned(capsys, seed, digest):
+    from holecount import cli
+
+    code = cli.main(["gen", "--kind", "random_blob", "--dims", "512x512", "--seed", str(seed)])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("shape", [(10**11, 10**11), (10**20, 4), (4, 10**20)])
+def test_oversize_grids_raise_gen_error(shape):
+    # numpy refuses these sizes before it allocates anything.
+    with pytest.raises(GenError):
+        gen._new_grid(shape, False)
+    with pytest.raises(GenError):
+        gen._grow_blob(np.random.Generator(_fresh(0, 0)), shape, 5)
+    with pytest.raises(GenError):
+        hc.random_rect_spec(0, shape, 2)
