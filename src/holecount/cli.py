@@ -1,7 +1,8 @@
 """Command-line interface: analyze, curves, genus3d, gen, bench.
 
 Exit codes: 0 success, 1 input or validity error, 2 formula/oracle
-disagreement.
+disagreement or a component that the image's tables flag but whose own
+checks pass.
 """
 
 from __future__ import annotations
@@ -74,36 +75,27 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _invalid(g, labels, cid) -> bool:
-    """Whether component `cid` is invalid; if so, its reasons are printed."""
-    if labels.table.valid[cid]:
-        return False
-    validity = corners.validate_component(g, corners.ComponentContext.of_label(labels, cid))
-    for kind, p in validity.reasons:
-        print(f"component {cid} invalid: {kind} at {p}", file=sys.stderr)
-    return not validity.valid
-
-
-def _each_valid_component(g, labels, row_of, check_first=False) -> list | None:
-    """`row_of(g, labels, cid)` of every component in order, or None when
-    one stops the request: the first invalid component, whose reasons are
-    printed, or the first whose `row_of` raises, whose error is printed.
-    With `check_first`, every component is known to be valid before any
-    `row_of` runs. This per-component loop is the error path of `curves`
-    and `genus3d`."""
-    cids = range(1, labels.component_count + 1)
-    if check_first and any(_invalid(g, labels, cid) for cid in cids):
-        return None
-    rows = []
+def _stop(g, labels, cids, chain) -> int:
+    """Exit code of a request that the image's tables stop at the last of
+    `cids`. In order, an invalid component has its reasons printed, and a
+    valid one runs `chain(g, labels, cid)`, which raises where the request
+    stops and whose error is printed. A component that the tables flag but
+    whose own checks pass is a disagreement between the two derivations."""
     for cid in cids:
-        if not check_first and _invalid(g, labels, cid):
-            return None
+        if not labels.table.valid[cid]:
+            reasons = corners.validate_component(g, corners.ComponentContext.of_label(labels, cid)).reasons
+            for kind, p in reasons:
+                print(f"component {cid} invalid: {kind} at {p}", file=sys.stderr)
+            if reasons:
+                return EXIT_INPUT
+            continue
         try:
-            rows.append(row_of(g, labels, cid))
+            chain(g, labels, cid)
         except HolecountError as exc:
             print(f"component {cid}: {exc}", file=sys.stderr)
-            return None
-    return rows
+            return EXIT_INPUT
+    print(f"component {cid}: flagged by the image's tables, but its own checks pass", file=sys.stderr)
+    return EXIT_DISAGREEMENT
 
 
 def _object(depth: int, items) -> str:
@@ -158,24 +150,26 @@ def _records_json(records: list[dict]) -> str:
     return _array(0, [_object(1, [(key, "%s") for key in records[0]])] * len(records)) % tuple(values[1:-1].split(","))
 
 
-def _curves_row(g, labels, cid) -> None:
-    """A row of the image's contour table that fails its check is traced on
-    its own, which raises the error naming the first revisited point."""
-    if not labels.curves.ok[cid]:
-        curves.trace_contours(g, corners.ComponentContext.of_label(labels, cid))
+def _trace(g, labels, cid) -> None:
+    """Traces the component on its own, which raises the error naming the
+    first revisited point."""
+    curves.trace_contours(g, corners.ComponentContext.of_label(labels, cid))
 
 
 def cmd_curves(args) -> int:
     """Every contour and its counts, from the image's contour table. A valid
     component's contours partition its boundary (see
-    `corners.ComponentTable`), so its row passes the table's check; on any
-    other image the per-component loop finds where the request stops."""
+    `corners.ComponentTable`), so its row passes the table's check. On any
+    other image the request stops at the first invalid component, else at
+    the first row that fails the check, traced on its own (`_stop`)."""
     g = _read_grid(args)
     labels = label_components(g, "foreground")
-    if not (labels.table.valid.all() and labels.curves.ok.all()):
-        if _each_valid_component(g, labels, _curves_row, check_first=True) is None:
-            return EXIT_INPUT
+    valid = labels.table.valid[1:]
+    if not valid.all():
+        return _stop(g, labels, [1 + int(np.argmin(valid))], _trace)
     table = labels.curves
+    if not table.ok[1:].all():
+        return _stop(g, labels, [1 + int(np.argmin(table.ok[1:]))], _trace)
     rows, begin, xy = table.rows, table.begin, table.points.ravel().tolist()
     blocks, entries, holds = {}, [], True  # blocks: the layout of k points, by k
     for cid in range(1, labels.component_count + 1):
@@ -197,44 +191,39 @@ def cmd_curves(args) -> int:
     return EXIT_OK if holds else EXIT_DISAGREEMENT
 
 
-def _genus3d_row(g, labels, cid) -> list[int]:
-    """m3, m4, m5, m6 and the Euler genus of the component's own surface.
-    Unlike a table row, it raises where the request stops: on a surface
-    that is not clean, naming the first bad cell, or on a formula that does
-    not divide."""
+def _genus3d_row(g, labels, cid) -> None:
+    """Builds the component's own surface and raises where the request
+    stops: on a surface that is not clean, naming the first bad cell, or on
+    a formula that does not divide."""
     ctx = corners.ComponentContext.of_label(labels, cid)
     sc = solid3d.extract_surface(solid3d.double_component(g, ctx))
-    census = solid3d.classify_surface_points(sc)
-    solid3d.genus_by_formula(census)
-    g_euler = solid3d.euler_genus_oracle(sc)
+    solid3d.genus_by_formula(solid3d.classify_surface_points(sc))
+    solid3d.euler_genus_oracle(sc)
     holes.holes_by_formula(labels.table.census(cid))
-    return [census.m3, census.m4, census.m5, census.m6, g_euler]
 
 
 def cmd_genus3d(args) -> int:
-    """Surface census, both genera and their checks, as whole columns: read
-    from the image's tables when every component is valid, its surface row
-    clean and both formulas divide, else from the per-component loop. The
+    """Surface census, both genera and their checks, as whole columns read
+    from the image's tables. The request stops (`_stop`) at the first
+    invalid component, after the components before it have built their own
+    surfaces (`_genus3d_row`) and no image-wide one; else at the first row
+    whose surface is not clean or whose formulas do not divide. The
     formulas are those of `solid3d.genus_by_formula`,
     `holes.holes_by_formula` and `solid3d.check_simply_connected_identity`
     on whole arrays; `tests/test_cli_reference.py` holds them to those."""
     g = _read_grid(args)
     labels = label_components(g, "foreground")
-    table, rows = labels.table, None
+    table = labels.table
+    valid = table.valid[1:]
+    if not valid.all():
+        return _stop(g, labels, range(1, 2 + int(np.argmin(valid))), _genus3d_row)
+    surface = labels.surface
+    rows = np.column_stack([surface.points[1:, 3:], surface.genus[1:]])
     c2, c4 = table.classes[1:, 2], table.classes[1:, 4]
-    if table.valid.all():
-        surface = labels.surface
-        rows = np.column_stack([surface.points[1:, 3:], surface.genus[1:]])
-        m3, _, m5, m6, _ = rows.T
-        divides = ((m5 + 2 * m6 - m3) % 8 == 0) & ((c4 - c2) % 4 == 0)
-        if not (surface.clean[1:] & divides).all():
-            rows = None
-    if rows is None:
-        rows = _each_valid_component(g, labels, _genus3d_row)
-        if rows is None:
-            return EXIT_INPUT
-        rows = np.array(rows, dtype=np.int64).reshape(-1, 5)
     m3, _, m5, m6, g_euler = rows.T
+    good = surface.clean[1:] & ((m5 + 2 * m6 - m3) % 8 == 0) & ((c4 - c2) % 4 == 0)
+    if not good.all():
+        return _stop(g, labels, [1 + int(np.argmin(good))], _genus3d_row)
     genus = 1 + (m5 + 2 * m6 - m3) // 8
     checks = np.stack([
         m6 == 0, m3 == 2 * c2, m5 == 2 * c4, genus == 1 + (c4 - c2) // 4, genus == g_euler, m3 == 8 + m5 + 2 * m6

@@ -24,6 +24,7 @@ from .errors import (
     ContourOverlapError,
     CurveError,
     EmptyComponentError,
+    InvalidComponentError,
     ThinComponentError,
 )
 from .grid import BinaryGrid, Point2
@@ -248,9 +249,9 @@ def _enclosed(ctx: ComponentContext, path: np.ndarray, region: int) -> frozenset
 
 def _traced(ctx: ComponentContext) -> tuple[CurveTable, int]:
     """The context's contour table and row, once its contours are known to
-    partition its boundary. Otherwise `_walk` walks them, and the first
-    point walked twice, else the first point of the boundary and the walks
-    that is not on both, row-major, is raised as the overlap."""
+    partition its boundary. Otherwise `_walk` walks them and raises the
+    first point walked twice, else the first point of the boundary and the
+    walks that is not on both, row-major; with neither, the two disagree."""
     if not ctx.area:
         raise EmptyComponentError("cannot trace an empty component")
     if ctx.thin_points:
@@ -265,7 +266,10 @@ def _traced(ctx: ComponentContext) -> tuple[CurveTable, int]:
             if (r + r0, c + c0) in walked:
                 raise ContourOverlapError((r + r0, c + c0))
             walked.add((r + r0, c + c0))
-    raise ContourOverlapError(min(walked.symmetric_difference(_positions(ctx.boundary, ctx.origin))))
+    missed = walked.symmetric_difference(_positions(ctx.boundary, ctx.origin))
+    if not missed:  # min(walked) is then the component's first cell
+        raise InvalidComponentError(f"contour table rejects the component at {min(walked)}, whose walks partition it")
+    raise ContourOverlapError(min(missed))
 
 
 def trace_contours(g: BinaryGrid, component) -> tuple[Contour, ...]:

@@ -20,7 +20,6 @@ from .labeling import label_components
 RECT_WITH_HOLES = "rect_with_holes"
 RANDOM_BLOB = "random_blob"
 MAX_HOLE = 3  # largest hole side that `random_rect_spec` places
-FILL_PASSES = 200  # passes of `_fill_pathological` before it gives up
 
 # The two worked example components, transcribed digit for digit, and the
 # corner-class annotation grid for the first one (2 = outward corner,
@@ -203,29 +202,30 @@ def _grow_blob(rng, shape, target) -> np.ndarray:
 
 def _fill_pathological(mask: np.ndarray) -> np.ndarray:
     """Fill the row-major-first background cell of each offending window,
-    iterating to a fixpoint."""
+    iterating to a fixpoint. Each pass fills at least one cell, the first
+    window's, so the loop ends."""
     mask = mask.copy()
-    for _ in range(FILL_PASSES):
-        hits = np.argwhere(diagonal_pairs(mask))
-        if len(hits) == 0:
-            return mask
+    while len(hits := np.argwhere(diagonal_pairs(mask))):
         for r, col in hits:
             cells = [(r, col), (r, col + 1), (r + 1, col), (r + 1, col + 1)]
             for rr, cc in cells:
                 if not mask[rr, cc]:
                     mask[rr, cc] = True
                     break
-    raise GenError("pathological-window repair did not converge")
+    return mask
 
 
 def gen_random_blob(spec: ShapeSpec) -> BinaryGrid:
-    """Seeded random valid component by accretion, upscaling, and repair.
+    """Seeded random valid component by accretion, repair and upscaling.
 
-    The blob is grown at half resolution and upscaled 2x so no point can be
-    thin; remaining pathological windows are filled to a fixpoint. If the
-    result still fails validation the growth is redone with a derived seed.
-    Deterministic for a fixed spec. Hole count is not prescribed; ground
-    truth comes from the complement oracle.
+    The blob is grown at half resolution from `SeedSequence([seed, 0])`, its
+    pathological windows are filled to a fixpoint, and it is upscaled 2x.
+    A 4-connected blob with no diagonal pinch, upscaled 2x, is well-composed
+    (Latecki et al., CVIU 1995): each 2x2 window of the upscale is uniform,
+    striped or a copy of a coarse window, so it has no diagonal pair and no
+    thin point. A result that is not one valid component raises `GenError`.
+    Hole count is not prescribed; ground truth comes from the complement
+    oracle.
     """
     h, w = spec.dims
     if h < 4 or w < 4:
@@ -235,28 +235,12 @@ def gen_random_blob(spec: ShapeSpec) -> BinaryGrid:
         raise GenError(f"target area must be at least 1, got {target_area}")
     if spec.seed < 0:
         raise GenError(f"seed must be at least 0, got {spec.seed}")
-    coarse_target = max(1, target_area // 4)
     canvas = _new_grid((h, w), False)
-    for attempt in range(64):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([spec.seed, attempt]))
-        )
-        coarse = _grow_blob(rng, (h // 2, w // 2), coarse_target)
-        try:
-            # Repairing diagonal pinches at half resolution keeps the
-            # upscaled blob built from 2x2 blocks, so no point can be thin
-            # and the fine grid needs at most a final fixpoint pass.
-            coarse = _fill_pathological(coarse)
-        except GenError:
-            continue
-        up = coarse.repeat(2, axis=0).repeat(2, axis=1)
-        canvas[: up.shape[0], : up.shape[1]] = up
-        try:
-            mask = _fill_pathological(canvas)
-        except GenError:
-            continue
-        g = BinaryGrid(mask)
-        labels = label_components(g)
-        if labels.component_count == 1 and labels.table.valid[1]:
-            return g
-    raise GenError(f"no valid blob for seed {spec.seed} within attempt cap")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, 0])))
+    coarse = _fill_pathological(_grow_blob(rng, (h // 2, w // 2), max(1, target_area // 4)))
+    canvas[: 2 * (h // 2), : 2 * (w // 2)] = coarse.repeat(2, axis=0).repeat(2, axis=1)
+    g = BinaryGrid(canvas)
+    labels = label_components(g)
+    if labels.component_count != 1 or not labels.table.valid[1]:
+        raise GenError(f"blob for seed {spec.seed} is not one valid component")
+    return g

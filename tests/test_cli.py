@@ -348,6 +348,63 @@ def test_genus3d_failed_check_exit_2(tmp_path, capsys, monkeypatch):
     assert json.loads(out)[0]["checks"]["genus_eq_euler"] is False
 
 
+def test_curves_table_rejecting_clean_walks_exit_1(tmp_path, capsys, monkeypatch):
+    """A contour table row that fails its check while `_walk`'s walks
+    partition the boundary: tracing names the component, no traceback."""
+    path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
+    real = cli.curves.CurveTable.__init__
+
+    def tampered(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        self.ok[1] = False
+
+    monkeypatch.setattr(cli.curves.CurveTable, "__init__", tampered)
+    code, out, err = run_cli(capsys, "curves", path)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "component 1: contour table rejects the component at (1, 2), whose walks partition it\n"
+
+
+# Three valid components in a row: a square, a ring and a square.
+THREE = ["00000000000000", "01101111101100", "01101111101100", "00001101100000",
+         "00001111100000", "00001111100000", "00000000000000"]
+
+
+def _tamper_row_2(monkeypatch, cls, column):
+    """Row 2 of `cls`'s `column` is False in every table of three rows."""
+    real = cls.__init__
+
+    def tampered(self, labels, n, *args):
+        real(self, labels, n, *args)
+        if n == 3:
+            getattr(self, column)[2] = False
+
+    monkeypatch.setattr(cls, "__init__", tampered)
+
+
+def test_curves_stop_rule_disagreement_exit_2(tmp_path, capsys, monkeypatch):
+    # Component 2 is flagged invalid but has no validity reason.
+    path = write(tmp_path, "three.txt", "\n".join(THREE) + "\n")
+    assert run_cli(capsys, "curves", path)[0] == cli.EXIT_OK
+    _tamper_row_2(monkeypatch, cli.corners.ComponentTable, "valid")
+    code, out, err = run_cli(capsys, "curves", path)
+    assert (code, out) == (cli.EXIT_DISAGREEMENT, "")
+    assert err == "component 2: flagged by the image's tables, but its own checks pass\n"
+
+
+def test_genus3d_stop_rule_disagreement_exit_2(tmp_path, capsys, monkeypatch):
+    # Component 2's surface row is flagged, but its own surface is clean:
+    # only that surface is built.
+    path = write(tmp_path, "three.txt", "\n".join(THREE) + "\n")
+    assert run_cli(capsys, "genus3d", path)[0] == cli.EXIT_OK
+    _tamper_row_2(monkeypatch, cli.solid3d.SurfaceTable, "clean")
+    extracted, real = [], cli.solid3d.extract_surface
+    monkeypatch.setattr(cli.solid3d, "extract_surface", lambda s: extracted.append(s) or real(s))
+    code, out, err = run_cli(capsys, "genus3d", path)
+    assert (code, out) == (cli.EXIT_DISAGREEMENT, "")
+    assert err == "component 2: flagged by the image's tables, but its own checks pass\n"
+    assert len(extracted) == 1
+
+
 # Two components, one with two holes and one with none.
 TWO = ["000000000000000", "011111111001110", "011111111001110", "011011011001110",
        "011111111000000", "011111111000000", "000000000000000"]

@@ -2,9 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import holecount as hc
 from holecount import gen
+from holecount.corners import diagonal_pairs, neighbor_counts
 from holecount.errors import GenError
 from holecount.labeling import holes_in_mask, label_mask
 
@@ -152,6 +156,21 @@ def test_fill_pathological_repairs_checkerboard():
     assert fixed[2, 2] and fixed[3, 3]  # repair only adds cells
 
 
+@settings(max_examples=300, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+@example(np.array([[1, 0, 1], [1, 0, 0], [0, 1, 1]], dtype=bool))  # takes two passes
+def test_repaired_blob_upscales_to_a_well_composed_mask(mask):
+    """No diagonal pair survives the repair, and its 2x upscale, on an odd
+    canvas as `gen_random_blob` places it, has none and no thin point."""
+    fixed = gen._fill_pathological(mask)
+    assert not diagonal_pairs(fixed).any()
+    h, w = fixed.shape
+    canvas = np.zeros((2 * h + 1, 2 * w + 1), dtype=bool)
+    canvas[: 2 * h, : 2 * w] = fixed.repeat(2, axis=0).repeat(2, axis=1)
+    assert not diagonal_pairs(canvas).any()
+    assert (neighbor_counts(canvas)[0][canvas] >= 2).all()
+
+
 def _fresh(*entropy):
     return np.random.PCG64(np.random.SeedSequence(list(entropy)))
 
@@ -210,51 +229,27 @@ def test_grow_blob_matches_reference(shape, target):
         assert got.dtype == bool and np.array_equal(got, want)
 
 
-_REPAIR = gen._fill_pathological
-
-
-def _blobs(monkeypatch, specs, retries):
-    """Each spec's grid, or its `GenError` message, when the first
-    `retries` repairs of each spec give up, so the blob is regrown from
-    derived seeds; 64 exhausts the attempt cap."""
-    out = []
-    for spec in specs:
-        calls = []
-
-        def failing(mask):
-            calls.append(mask)
-            if len(calls) <= retries:
-                raise GenError("forced")
-            return _REPAIR(mask)
-
-        monkeypatch.setattr(gen, "_fill_pathological", failing)
-        try:
-            out.append(hc.gen_random_blob(spec).cells)
-        except GenError as exc:
-            out.append(str(exc))
-    return out
-
-
 @pytest.mark.parametrize(
-    "dims, target_area, retries",
+    "dims, target_area, shift",
     [
-        (dims, area, retries)
+        (dims, area, shift)
         for dims in [(4, 4), (5, 7), (9, 4), (17, 33), (64, 64), (130, 97)]
         for area in [None, 1, 6, 50, 10**7]
-        for retries in [0, 3]
+        for shift in [0, 3]
     ]
     + [((5, 7), None, 64), ((12, 9), 30, 64)],
 )
-def test_gen_random_blob_matches_reference(monkeypatch, dims, target_area, retries):
+def test_gen_random_blob_matches_reference(monkeypatch, dims, target_area, shift):
+    # `shift` moves the seeds, so each layout is checked on more of them.
     specs = [
-        hc.ShapeSpec(kind=gen.RANDOM_BLOB, dims=dims, seed=seed, target_area=target_area)
+        hc.ShapeSpec(kind=gen.RANDOM_BLOB, dims=dims, seed=seed + shift, target_area=target_area)
         for seed in (0, 1, 2, 7, 12345)
     ]
-    got = _blobs(monkeypatch, specs, retries)
+    got = [hc.gen_random_blob(spec).cells for spec in specs]
     monkeypatch.setattr(gen, "_grow_blob", _reference_grow_blob)
-    want = _blobs(monkeypatch, specs, retries)
+    want = [hc.gen_random_blob(spec).cells for spec in specs]
     for a, b in zip(got, want, strict=True):
-        assert type(a) is type(b) and np.array_equal(a, b)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(
