@@ -7,7 +7,7 @@ this weaves inward corner points (which touch the region only diagonally)
 into the cycle, so for valid components the contours partition the
 boundary point set. Outer contours come out clockwise in (row, col)
 screen orientation, hole contours counterclockwise. `CurveTable` walks
-every contour of an image at once; `_walk`, one step at a time, names the
+every contour of an image at once, each to its own start, and names the
 point where a component's contours fail.
 """
 
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corners import ComponentContext, _positions, _ringed, find_pathological
+from .corners import ComponentContext, _ringed, find_pathological
 from .errors import (
     ContourOverlapError,
     CurveError,
@@ -31,10 +31,6 @@ from .grid import BinaryGrid, Point2
 
 OUTER = "outer"
 HOLE = "hole"
-
-_N, _E, _S, _W = (-1, 0), (0, 1), (1, 0), (0, -1)
-_LEFT = {_E: _N, _N: _W, _W: _S, _S: _E}
-_RIGHT = {v: k for k, v in _LEFT.items()}
 
 
 @dataclass(frozen=True)
@@ -90,52 +86,36 @@ def accounting_identity(rows) -> tuple[int, int, bool]:
     return lhs, rhs, lhs == rhs
 
 
-def _walk(mask: np.ndarray, start: Point2, heading: Point2) -> list[Point2]:
-    """Left-hand-rule pixel walk; returns the cycle starting at `start`.
-
-    `mask` has a background ring, so every neighbor of its cells is in range.
-    """
-    path = [start]
-    p, d = start, heading
-    while True:
-        r, c = p
-        q = None
-        for nd in (_LEFT[d], d, _RIGHT[d], (-d[0], -d[1])):
-            if mask[r + nd[0], c + nd[1]]:
-                q = (r + nd[0], c + nd[1])
-                break
-        if q is None or q == start:
-            return path
-        path.append(q)
-        p, d = q, nd
-
-
 # The headings N, E, S, W as steps: clockwise, so a left turn is -1 and a
 # right turn +1, mod 4.
-_STEPS = np.array([_N, _E, _S, _W])
+_STEPS = np.array([(-1, 0), (0, 1), (1, 0), (0, -1)])
 
 
 class CurveTable:
     """The contours of every component of a label image, from one
     vectorised left-hand walk.
 
-    `_walk` is a function on states (boundary cell, heading): the next step
+    The walk is a function on states (boundary cell, heading): the next step
     is the first of left, straight, right and back that lands on the
     foreground, where a cell's 4-neighbours carry its label. Four
     `np.where` passes find it for each of the 16 sets of foreground
     4-neighbours, and every state reads its cell's. A component's outer
     contour starts at its first cell heading E, and a hole contour at the
     cell above its region's first cell (`regions`, from
-    `labeling.hole_regions`) heading W; a walk ends at a start cell.
-    Pointer jumping walks every contour at once: while `jump` takes 2^j
-    steps, the first 2^j states of each unfinished contour give its next
-    2^j. Row `cid` is `ok` when each of its walks ends where it started and
-    its contours visit each of its boundary cells once; they are then
-    `_walk`'s, point for point. `points` holds every contour's cells in
-    order, at `labels`' positions plus `offset`: row `cid` has contours
-    `rows[cid]` to `rows[cid + 1]`, the outer one first, and contour i the
-    points `begin[i]` to `begin[i + 1]`. `table` is the
-    `corners.ComponentTable` whose boundary and classes they are read from.
+    `labeling.hole_regions`) heading W; a walk ends at its own start, as a
+    walk one step at a time does. Pointer jumping walks every contour at
+    once: while `jumps[j]` takes 2^j steps, the first 2^j states of each
+    unfinished contour give its next 2^j, up to any start cell. A walk
+    stopped at another contour's start goes on from there in a further
+    round, which only a component whose contours meet needs; a walk is cut
+    at 4 steps per boundary cell, since a longer one cycles. Row `cid` is
+    `ok` when each of its walks ends where it started and its contours
+    visit each of its boundary cells once; otherwise `fault` names where
+    they fail. `points` holds every contour's cells in order, at `labels`'
+    positions plus `offset`: row `cid` has contours `rows[cid]` to
+    `rows[cid + 1]`, the outer one first, and contour i the points
+    `begin[i]` to `begin[i + 1]`. `table` is the `corners.ComponentTable`
+    whose boundary and classes they are read from.
     """
 
     def __init__(self, labels: np.ndarray, n: int, table, regions, offset=(0, 0)):
@@ -170,38 +150,52 @@ class CurveTable:
         # Labels number components by first cell, a boundary cell.
         head[outer] = np.flatnonzero(np.diff(np.maximum.accumulate(own), prepend=0))
         head[~outer] = number[firsts @ (width + 2, 1) + 1]  # the cell above, in the ringed array
-        after = succ[4 * head + np.where(outer, 1, 3)]  # the state after each start
         ends = np.zeros(count + 1, dtype=bool)
         ends[head] = ends[count] = True
         ends = np.repeat(ends, 4)[: sink + 1]
-        jump = np.where(ends, np.arange(sink + 1, dtype=np.int32), succ)
 
-        # Each unfinished contour's states at its walk's steps 0 to span - 1.
-        live = ~ends[after]
-        front = [after[live], np.flatnonzero(live), np.zeros(np.count_nonzero(live), dtype=np.intp)]
-        walked, span = [front], 1
-        while front[0].size and span <= sink:
-            state, contour, at = front
-            ahead = jump[state]
-            go = ~ends[ahead]
-            walked.append([ahead[go], contour[go], at[go] + span])
-            on = np.bincount(contour[~go], minlength=outer.size)[contour] == 0
-            front = [np.concatenate([v[on], w[on]]) for v, w in zip(front, [ahead, contour, at + span])]
-            jump, span = jump[jump], 2 * span
+        # Each round records every live contour's state `end` at step `length`
+        # of its walk, then walks on to a start cell. A walk stopped at another
+        # contour's start lives on, which only contours that meet need, so
+        # `jumps[j]`, which takes 2^j steps, is kept from the second round on.
+        # A walk longer than the states cycles, so it stops.
+        end, length = 4 * head + np.where(outer, 1, 3), np.zeros(outer.size, dtype=np.intp)
+        live, walked = np.arange(outer.size), [[np.zeros(0, dtype=np.intp)] * 3]  # none on an empty image
+        jumps = [np.where(ends, np.arange(sink + 1, dtype=np.int32), succ)]
+        while live.size:
+            after, rounds = succ[end[live]], len(walked)
+            walked.append([end[live], live, length[live]])
+            go = ~ends[after]
+            end[live[~go]] = after[~go]
+            front, j, jump = [after[go], live[go], length[live[go]] + 1], 0, jumps[0]
+            walked.append(front)
+            while front[0].size and 1 << j <= sink:  # each unfinished contour's next 2^j states
+                state, contour, at = front
+                span, ahead = 1 << j, jump[state]
+                go = ~ends[ahead]
+                end[contour[~go]] = ahead[~go]
+                walked.append([ahead[go], contour[go], at[go] + span])
+                on = np.bincount(contour[~go], minlength=outer.size)[contour] == 0
+                front = [np.concatenate([v[on], w[on]]) for v, w in zip(front, [ahead, contour, at + span])]
+                j += 1
+                jump = jumps[j] if j < len(jumps) else jump[jump]
+                if j == len(jumps) and rounds > 1:
+                    jumps.append(jump)
+            end[front[1]] = sink
+            length += np.bincount(np.concatenate([w[1] for w in walked[rounds:]]), minlength=outer.size)
+            live = live[(end[live] >> 2 != head[live]) & (end[live] < sink) & (length[live] <= sink)]
         state, contour, at = (np.concatenate(v) for v in zip(*walked))
-        length = 1 + np.bincount(contour, minlength=outer.size)
         begin = np.cumsum(length) - length
-        path = np.repeat(head, length)
-        path[begin[contour] + 1 + at] = state >> 2
-        end = after.copy()
-        last = at == length[contour] - 2
-        end[contour[last]] = succ[state[last]]
-        closed = (end >> 2 == head) & (np.bincount(front[1], minlength=outer.size) == 0)
+        path = np.empty(length.sum(), dtype=np.intp)
+        path[begin[contour] + at] = state >> 2
+        closed = end >> 2 == head
 
         visits = np.bincount(path, minlength=count)
         label = np.repeat(np.arange(n + 1), np.r_[0, per])
         faults = np.bincount(own[visits != 1], minlength=n + 1)
         self.ok = faults + np.bincount(label[~closed], minlength=n + 1) == 0
+        missed = visits == 0
+        self._missed = own[missed], np.stack(divmod(cells[missed], width), axis=1) + offset
         classes = table.direct.ravel()[cells[path]]
         census = np.bincount(np.repeat(np.arange(outer.size) * 5, length) + classes, minlength=5 * outer.size)
         self._census = census.reshape(-1, 5)[:, 2:].tolist()
@@ -216,6 +210,16 @@ class CurveTable:
             (OUTER if i == self.rows[cid] else HOLE, self.points[begin[i] : begin[i + 1]])
             for i in range(self.rows[cid], self.rows[cid + 1])
         ]
+
+    def fault(self, cid: int) -> Point2 | None:
+        """Where the walks of row `cid` fail to partition its boundary: the
+        first point they visit twice, the outer contour first, else its first
+        boundary cell, row-major, that no walk visits; None with neither."""
+        walks = self.points[self.begin[self.rows[cid]] : self.begin[self.rows[cid + 1]]]
+        _, first, seen = np.unique(walks @ (1 << 32, 1), return_index=True, return_inverse=True)
+        label, missed = self._missed
+        found = np.concatenate([walks[first[seen] < np.arange(len(walks))], missed[label == cid]])
+        return tuple(found[0].tolist()) if len(found) else None
 
     def counts(self, cid: int) -> list[list[int]]:
         """cp2, cp3 and cp4 of each contour of row `cid`, the outer one first."""
@@ -249,9 +253,9 @@ def _enclosed(ctx: ComponentContext, path: np.ndarray, region: int) -> frozenset
 
 def _traced(ctx: ComponentContext) -> tuple[CurveTable, int]:
     """The context's contour table and row, once its contours are known to
-    partition its boundary. Otherwise `_walk` walks them and raises the
-    first point walked twice, else the first point of the boundary and the
-    walks that is not on both, row-major; with neither, the two disagree."""
+    partition its boundary. Otherwise the row names the point where they
+    fail (`CurveTable.fault`); a row that names none disagrees with its own
+    check, and the error names the component's first cell."""
     if not ctx.area:
         raise EmptyComponentError("cannot trace an empty component")
     if ctx.thin_points:
@@ -259,26 +263,21 @@ def _traced(ctx: ComponentContext) -> tuple[CurveTable, int]:
     curves, cid = ctx.curve_row
     if curves.ok[cid]:
         return curves, cid
-    (r0, c0), walked = ctx.offset, set()
-    for kind, points in curves.contours(cid):
-        start = tuple((points[0] - ctx.offset).tolist())
-        for r, c in _walk(ctx.mask, start, _E if kind == OUTER else _W):
-            if (r + r0, c + c0) in walked:
-                raise ContourOverlapError((r + r0, c + c0))
-            walked.add((r + r0, c + c0))
-    missed = walked.symmetric_difference(_positions(ctx.boundary, ctx.origin))
-    if not missed:  # min(walked) is then the component's first cell
-        raise InvalidComponentError(f"contour table rejects the component at {min(walked)}, whose walks partition it")
-    raise ContourOverlapError(min(missed))
+    point = curves.fault(cid)
+    if point is None:
+        first = tuple(curves.points[curves.begin[curves.rows[cid]]].tolist())
+        raise InvalidComponentError(f"contour table rejects the component at {first}, whose walks partition it")
+    raise ContourOverlapError(point)
 
 
 def trace_contours(g: BinaryGrid, component) -> tuple[Contour, ...]:
     """Trace the outer contour and one contour per enclosed region.
 
     Raises ThinComponentError when a boundary point has fewer than 2 direct
-    neighbors, and ContourOverlapError when a traced point is revisited or
-    the contours fail to partition the boundary point set. The contours are
-    a row of the context's `CurveTable`.
+    neighbors, and ContourOverlapError at the point where the contours fail
+    to partition the boundary point set: the first point walked twice, else
+    the first boundary point no walk visits. The contours, and that point,
+    are a row of the context's `CurveTable`.
     """
     ctx = ComponentContext.of(g, component)
     curves, cid = _traced(ctx)

@@ -349,8 +349,9 @@ def test_genus3d_failed_check_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_curves_table_rejecting_clean_walks_exit_1(tmp_path, capsys, monkeypatch):
-    """A contour table row that fails its check while `_walk`'s walks
-    partition the boundary: tracing names the component, no traceback."""
+    """A contour table row that fails its check while its walks partition
+    the boundary, so it names no point: tracing names the component, no
+    traceback."""
     path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
     real = cli.curves.CurveTable.__init__
 

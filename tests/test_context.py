@@ -53,32 +53,65 @@ def points(cells, dr=0, dc=0):
     return [(int(r) + dr, int(c) + dc) for r, c in np.argwhere(cells)]
 
 
-def ref_trace(mask, bnd):
-    """Contours as (kind, points, enclosed) in image coordinates, or the
-    overlap point; traced on the whole padded image."""
+_N, _E, _S, _W = (-1, 0), (0, 1), (1, 0), (0, -1)
+_LEFT = {_E: _N, _N: _W, _W: _S, _S: _E}
+_RIGHT = {v: k for k, v in _LEFT.items()}
+
+
+def _walk(mask, start, heading):
+    """Left-hand-rule pixel walk, one step at a time; returns the cycle
+    starting at `start`. `mask` has a background ring, so every neighbor of
+    its cells is in range."""
+    path = [start]
+    p, d = start, heading
+    while True:
+        r, c = p
+        q = None
+        for nd in (_LEFT[d], d, _RIGHT[d], (-d[0], -d[1])):
+            if mask[r + nd[0], c + nd[1]]:
+                q = (r + nd[0], c + nd[1])
+                break
+        if q is None or q == start:
+            return path
+        path.append(q)
+        p, d = q, nd
+
+
+def ref_walks(mask):
+    """`_walk`'s contours of a component as (kind, points, complement
+    region), in image coordinates, and the complement labels of the padded
+    mask; walked on the whole padded image."""
     padded = np.pad(mask, 1)
     regions, n = ref_label(~padded)
-    paths = [(OUTER, curves._walk(padded, tuple(np.argwhere(padded)[0].tolist()), curves._E), 1)]
+    starts = [(OUTER, tuple(np.argwhere(padded)[0].tolist()), _E, 1)]
     for rid in range(2, n + 1):
         r, c = np.argwhere(regions == rid)[0].tolist()
-        paths.append((HOLE, curves._walk(padded, (r - 1, c), curves._W), rid))
+        starts.append((HOLE, (r - 1, c), _W, rid))
+    walks = [(kind, [(r - 1, c - 1) for r, c in _walk(padded, start, d)], rid) for kind, start, d, rid in starts]
+    return walks, regions
+
+
+def ref_trace(mask, bnd):
+    """Contours as (kind, points, enclosed) in image coordinates, or the
+    overlap point: the first point walked twice, else the first point of the
+    boundary and the walks that is not on both."""
+    walks, regions = ref_walks(mask)
     seen = set()
-    for _, path, _ in paths:
+    for _, path, _ in walks:
         for p in path:
             if p in seen:
-                return (p[0] - 1, p[1] - 1)
+                return p
             seen.add(p)
-    traced = {(r - 1, c - 1) for r, c in seen}
     expected = set(points(bnd))
-    if traced != expected:
-        return min(traced ^ expected)
+    if seen != expected:
+        return min(seen ^ expected)
     result = []
-    for kind, path, rid in paths:
+    for kind, path, rid in walks:
         if kind == OUTER:
-            enclosed = set(points(regions != 1, -1, -1)) - {(r - 1, c - 1) for r, c in path}
+            enclosed = set(points(regions != 1, -1, -1)) - set(path)
         else:
             enclosed = set(points(regions == rid, -1, -1))
-        result.append((kind, [(r - 1, c - 1) for r, c in path], enclosed))
+        result.append((kind, path, enclosed))
     return result
 
 
@@ -377,7 +410,7 @@ def test_genus3d_reads_validity_from_the_table(tmp_path, capsys, monkeypatch):
 def test_curves_traces_each_component_once(tmp_path, capsys, monkeypatch):
     """One contour table walks every component: a request labels the image
     and the mosaic of its complements, whatever the component count, counts
-    neighbors once over the image and walks no contour one step at a time."""
+    neighbors once over the image and builds one contour table."""
     arr = np.zeros((242, 242), dtype=bool)
     for i in range(20):
         for j in range(20):
@@ -385,12 +418,12 @@ def test_curves_traces_each_component_once(tmp_path, capsys, monkeypatch):
             arr[4 + 12 * i : 4 + 12 * i + (i + j) % 3, 4 + 12 * j : 7 + 12 * j] = False
     g = hc.BinaryGrid(arr)
     traced = count_calls(monkeypatch, curves, "trace_contours")
-    walked = count_calls(monkeypatch, curves, "_walk")
+    built = count_calls(monkeypatch, curves, "CurveTable")
     labeled = count_calls(monkeypatch, labeling, "label_mask")
     counted = count_calls(monkeypatch, corners, "neighbor_counts")
     assert cli.main(["curves", write_grid(tmp_path, g)]) == cli.EXIT_OK
     assert len(json.loads(capsys.readouterr().out)) == 400
-    assert traced == [] and walked == []
+    assert traced == [] and len(built) == 1
     image, mosaic = (mask for mask, in labeled)
     assert image.shape == g.cells.shape
     # The ringed 10 x 10 boxes (0-2 holes each), packed with little waste.
@@ -405,11 +438,11 @@ def test_curves_stops_before_the_contour_table(tmp_path, capsys, monkeypatch):
     rows = ["0000000000", "0111111000", "0111111000", "0110011010", "0110011000", "0111111000"]
     path.write_text("\n".join(rows + ["0111111000", "0000000000"]) + "\n")
     regions = count_calls(monkeypatch, labeling, "hole_regions")
-    walked = count_calls(monkeypatch, curves, "_walk")
+    built = count_calls(monkeypatch, curves, "CurveTable")
     assert cli.main(["curves", str(path)]) == cli.EXIT_INPUT
     out, err = capsys.readouterr()
     assert (out, err) == ("", "component 2 invalid: isolated_or_thin_point at (3, 8)\n")
-    assert regions == [] and walked == []
+    assert regions == [] and built == []
 
 
 def test_thin_points_are_decoded_once(monkeypatch):
@@ -537,15 +570,22 @@ def mosaics(draw):
 @example(hc.grid_from_rows(NESTED))
 @example(hc.grid_from_rows(L_CONTACT))
 @example(hc.grid_from_rows(RINGS))
-# Each walk visits new cells only, but the outer one ends at the hole's
-# start, and the hole's at the outer one's.
+# Each walk visits new cells only, but the outer one passes the hole's
+# start, and the hole's the outer one's.
 @example(hc.grid_from_rows(["00000", "01100", "01110", "01010", "01110", "00000"]))
+# A ring with 1-cell walls: both walks pass the other's start, and the
+# first point walked twice is (0, 1), not the hole's start (0, 2).
+@example(hc.grid_from_rows(["1111", "1001", "1111"]))
+# Two holes: the first point walked twice is (0, 4), after the outer walk
+# has passed the first hole's start (0, 3).
+@example(hc.grid_from_rows(["0011110", "0111010", "0101110", "0111100"]))
 def test_contour_table_matches_the_walk(g):
     """The contour table's row of each component with no thin point is
-    `_walk`'s trace, point for point, with its per-contour classes, or is
-    flagged where that trace overlaps, invalid components included. The
-    mosaic counts every component's holes as `holes_in_mask` does on the
-    component alone."""
+    `_walk`'s walks, point for point, invalid components included. A row
+    is flagged exactly where those walks fail to partition the boundary,
+    and then names the same point as the trace; otherwise it has the
+    trace's per-contour classes. The mosaic counts every component's holes
+    as `holes_in_mask` does on the component alone."""
     labels = hc.label_components(g)
     holes, _ = labels.complements
     assert len(holes) == labels.component_count + 1
@@ -556,17 +596,17 @@ def test_contour_table_matches_the_walk(g):
         bnd = mask & (full < 8)
         if (direct[bnd] < 2).any():
             continue  # refused before the table is read
+        table = labels.curves
+        assert [(kind, list(map(tuple, pts.tolist()))) for kind, pts in table.contours(cid)] == [
+            (kind, pts) for kind, pts, _ in ref_walks(mask)[0]
+        ]
         contours = ref_trace(mask, bnd)
         if isinstance(contours, tuple):
-            assert not labels.curves.ok[cid]
+            assert not table.ok[cid] and table.fault(cid) == contours
             continue
-        assert labels.curves.ok[cid]
-        rows = labels.curves.contours(cid)
-        assert [(kind, list(map(tuple, pts.tolist()))) for kind, pts in rows] == [
-            (kind, pts) for kind, pts, _ in contours
-        ]
+        assert table.ok[cid] and table.fault(cid) is None
         census = [tuple(sum(direct[p] == k for p in pts) for k in (2, 3, 4)) for _, pts, _ in contours]
-        acct = labels.curves.accounting(cid)
+        acct = table.accounting(cid)
         assert [(cc.cp2, cc.cp3, cc.cp4) for cc in acct.curve_censuses] == census
         assert acct == curves.second_proof_accounting(g, mask)
 
