@@ -75,22 +75,22 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _stop(g, labels, cids, chain) -> int:
-    """Exit code of a request that the image's tables stop at the last of
-    `cids`. In order, an invalid component has its reasons printed, and a
-    valid one runs `chain(g, labels, cid)`, which raises where the request
-    stops and whose error is printed. A component that the tables flag but
-    whose own checks pass is a disagreement between the two derivations."""
-    for cid in cids:
-        if not labels.table.valid[cid]:
-            reasons = corners.validate_component(g, corners.ComponentContext.of_label(labels, cid)).reasons
-            for kind, p in reasons:
-                print(f"component {cid} invalid: {kind} at {p}", file=sys.stderr)
-            if reasons:
-                return EXIT_INPUT
-            continue
+def _stop(g, labels, cid: int, check) -> int:
+    """Exit code of a request that the image's tables stop at component
+    `cid`, the first row they flag, which alone is cut out: if it is invalid
+    its reasons are printed, else `check(g, ctx)` runs on it, raises where
+    the request stops and has its error printed. A component that the tables
+    flag but whose own checks pass is a disagreement of the two derivations."""
+    ctx = corners.ComponentContext.of_label(labels, cid)
+    if not labels.table.valid[cid]:
+        reasons = corners.validate_component(g, ctx).reasons
+        for kind, p in reasons:
+            print(f"component {cid} invalid: {kind} at {p}", file=sys.stderr)
+        if reasons:
+            return EXIT_INPUT
+    else:
         try:
-            chain(g, labels, cid)
+            check(g, ctx)
         except HolecountError as exc:
             print(f"component {cid}: {exc}", file=sys.stderr)
             return EXIT_INPUT
@@ -150,26 +150,20 @@ def _records_json(records: list[dict]) -> str:
     return _array(0, [_object(1, [(key, "%s") for key in records[0]])] * len(records)) % tuple(values[1:-1].split(","))
 
 
-def _trace(g, labels, cid) -> None:
-    """Traces the component on its own, which raises the error naming the
-    first revisited point."""
-    curves.trace_contours(g, corners.ComponentContext.of_label(labels, cid))
-
-
 def cmd_curves(args) -> int:
     """Every contour and its counts, from the image's contour table. A valid
     component's contours partition its boundary (see
     `corners.ComponentTable`), so its row passes the table's check. On any
-    other image the request stops at the first invalid component, else at
-    the first row that fails the check, traced on its own (`_stop`)."""
+    other image the request stops (`_stop`) at the first invalid component,
+    else at the first row that fails the check, traced on its own."""
     g = _read_grid(args)
     labels = label_components(g, "foreground")
     valid = labels.table.valid[1:]
     if not valid.all():
-        return _stop(g, labels, [1 + int(np.argmin(valid))], _trace)
+        return _stop(g, labels, 1 + int(np.argmin(valid)), curves.trace_contours)
     table = labels.curves
     if not table.ok[1:].all():
-        return _stop(g, labels, [1 + int(np.argmin(table.ok[1:]))], _trace)
+        return _stop(g, labels, 1 + int(np.argmin(table.ok[1:])), curves.trace_contours)
     rows, begin, xy = table.rows, table.begin, table.points.ravel().tolist()
     blocks, entries, holds = {}, [], True  # blocks: the layout of k points, by k
     for cid in range(1, labels.component_count + 1):
@@ -191,39 +185,38 @@ def cmd_curves(args) -> int:
     return EXIT_OK if holds else EXIT_DISAGREEMENT
 
 
-def _genus3d_row(g, labels, cid) -> None:
-    """Builds the component's own surface and raises where the request
-    stops: on a surface that is not clean, naming the first bad cell, or on
-    a formula that does not divide."""
-    ctx = corners.ComponentContext.of_label(labels, cid)
+def _genus3d_row(g, ctx) -> None:
+    """Builds the surface of the component of `ctx` on its own and raises
+    where the request stops: on a surface that is not clean, naming the
+    first bad cell, or on a formula that does not divide."""
     sc = solid3d.extract_surface(solid3d.double_component(g, ctx))
     solid3d.genus_by_formula(solid3d.classify_surface_points(sc))
     solid3d.euler_genus_oracle(sc)
-    holes.holes_by_formula(labels.table.census(cid))
+    holes.holes_by_formula(ctx.census)
 
 
 def cmd_genus3d(args) -> int:
     """Surface census, both genera and their checks, as whole columns read
     from the image's tables. The request stops (`_stop`) at the first
-    invalid component, after the components before it have built their own
-    surfaces (`_genus3d_row`) and no image-wide one; else at the first row
-    whose surface is not clean or whose formulas do not divide. The
-    formulas are those of `solid3d.genus_by_formula`,
-    `holes.holes_by_formula` and `solid3d.check_simply_connected_identity`
-    on whole arrays; `tests/test_cli_reference.py` holds them to those."""
+    invalid component, as `curves` does, with no surface built; else at the
+    first row whose surface is not clean or whose formulas do not divide,
+    the only one that builds its own surface (`_genus3d_row`). The formulas
+    are those of `solid3d.genus_by_formula`, `holes.holes_by_formula` and
+    `solid3d.check_simply_connected_identity` on whole arrays;
+    `tests/test_cli_reference.py` holds them to those."""
     g = _read_grid(args)
     labels = label_components(g, "foreground")
     table = labels.table
     valid = table.valid[1:]
     if not valid.all():
-        return _stop(g, labels, range(1, 2 + int(np.argmin(valid))), _genus3d_row)
+        return _stop(g, labels, 1 + int(np.argmin(valid)), _genus3d_row)
     surface = labels.surface
     rows = np.column_stack([surface.points[1:, 3:], surface.genus[1:]])
     c2, c4 = table.classes[1:, 2], table.classes[1:, 4]
     m3, _, m5, m6, g_euler = rows.T
     good = surface.clean[1:] & ((m5 + 2 * m6 - m3) % 8 == 0) & ((c4 - c2) % 4 == 0)
     if not good.all():
-        return _stop(g, labels, [1 + int(np.argmin(good))], _genus3d_row)
+        return _stop(g, labels, 1 + int(np.argmin(good)), _genus3d_row)
     genus = 1 + (m5 + 2 * m6 - m3) // 8
     checks = np.stack([
         m6 == 0, m3 == 2 * c2, m5 == 2 * c4, genus == 1 + (c4 - c2) // 4, genus == g_euler, m3 == 8 + m5 + 2 * m6

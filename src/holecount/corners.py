@@ -229,8 +229,8 @@ class ComponentContext:
             if outside.any():
                 p = tuple(pts[outside][0].tolist())
                 raise OutOfBoundsError(f"{p} outside {g.height}x{g.width} grid")
-            if not pts.size:
-                return cls(np.zeros((0, 0), dtype=bool), (0, 0), _image(g.cells.shape))
+        if not pts.size:
+            return cls(np.zeros((0, 0), dtype=bool), (0, 0), _image((0, 0) if g is None else g.cells.shape))
         low = pts.min(axis=0)
         crop = np.zeros(pts.max(axis=0) - low + 1, dtype=bool)
         crop[tuple((pts - low).T)] = True

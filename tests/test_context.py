@@ -9,6 +9,8 @@ and a contour trace over the whole padded image, and a complement labeling
 of the whole padded image.
 """
 
+import contextlib
+import io
 import json
 import sys
 
@@ -20,7 +22,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 import holecount as hc
-from holecount import cli, corners, curves, labeling
+from holecount import cli, corners, curves, labeling, solid3d
 from holecount.corners import (
     CONTOUR_OVERLAP,
     ISOLATED_OR_THIN_POINT,
@@ -443,6 +445,53 @@ def test_curves_stops_before_the_contour_table(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert (out, err) == ("", "component 2 invalid: isolated_or_thin_point at (3, 8)\n")
     assert regions == [] and built == []
+
+
+def count_inits(monkeypatch, cls):
+    """Arguments of every construction of `cls`."""
+    built, real = [], cls.__init__
+    monkeypatch.setattr(cls, "__init__", lambda self, *args: built.append(args) or real(self, *args))
+    return built
+
+
+@pytest.mark.parametrize("n", [1, 60])
+def test_genus3d_cuts_out_only_the_component_it_stops_at(tmp_path, capsys, monkeypatch, n):
+    """n valid 4 x 4 squares, then a single point: `genus3d` stops at the
+    point as `curves` does, with one context, the point's, and doubles no
+    component, however many valid ones come first."""
+    arr = np.zeros((6, 5 * n + 3), dtype=bool)
+    for i in range(n):
+        arr[1:5, 1 + 5 * i : 5 + 5 * i] = True
+    arr[1, 5 * n + 1] = True
+    path = write_grid(tmp_path, hc.BinaryGrid(arr))
+    contexts = count_inits(monkeypatch, corners.ComponentContext)
+    doubled = count_calls(monkeypatch, solid3d, "double_component")
+    surfaces = count_inits(monkeypatch, solid3d.SurfaceComplex)
+    for command in ("curves", "genus3d"):
+        assert cli.main([command, path]) == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", f"component {n + 1} invalid: isolated_or_thin_point at (1, {5 * n + 1})\n")
+    assert [args[1] for args in contexts] == [(1, 5 * n + 1)] * 2
+    assert doubled == surfaces == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids())
+@example(hc.grid_from_rows(["0000000", "0111000", "0111010", "0111000", "0000000"]))
+@example(hc.grid_from_rows(["1111", "1001", "1111"]))
+def test_a_request_cuts_out_only_the_component_it_stops_at(g):
+    """`curves` and `genus3d` read every row from the image's tables: a
+    request builds one context, of the component its error names, when it
+    stops, and none otherwise."""
+    data = hc.to_ascii01(g).encode()
+    for command in ("curves", "genus3d"):
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            contexts = count_inits(mp, corners.ComponentContext)
+            mp.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            cli.main([command, "-"])
+        assert len(contexts) == (err.getvalue() != "")
+        for args in contexts:
+            assert err.getvalue().startswith(f"component {args[4]}")
 
 
 def test_thin_points_are_decoded_once(monkeypatch):

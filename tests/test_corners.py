@@ -5,6 +5,7 @@ import holecount as hc
 from holecount.corners import (
     CONTOUR_OVERLAP,
     ISOLATED_OR_THIN_POINT,
+    ComponentContext,
     image_census,
 )
 from holecount.errors import EmptyComponentError
@@ -60,6 +61,35 @@ def test_boundary_empty_component_raises(m5):
 def test_validate_empty_component_raises(m5, empty):
     with pytest.raises(EmptyComponentError):
         hc.validate_component(m5, empty)
+
+
+# Each check of a point set, and its error on an empty one (None: no error).
+EMPTY_ERRORS = [
+    (hc.boundary_points, "boundary of an empty component"),
+    (hc.classify_corners, "census of an empty component"),
+    (hc.validate_component, "cannot trace an empty component"),
+    (hc.find_pathological, None),
+    (hc.trace_contours, "cannot trace an empty component"),
+    (hc.double_component, "cannot double an empty component"),
+    (hc.second_proof_accounting, "cannot trace an empty component"),
+]
+
+
+@pytest.mark.parametrize("check, error", EMPTY_ERRORS, ids=[check.__name__ for check, _ in EMPTY_ERRORS])
+def test_empty_point_set_with_or_without_grid(m5, check, error):
+    """With no grid, an empty point set is its own empty image: each check
+    raises or returns as it does with a grid."""
+    for g in (m5, None):
+        if error is None:
+            assert check(g, set()) == hc.PathologyReport((), True, 0)
+        else:
+            with pytest.raises(EmptyComponentError, match=error):
+                check(g, set())
+
+
+def test_context_of_a_mask_of_another_shape_raises(m5):
+    with pytest.raises(ValueError, match="component mask shape mismatch"):
+        ComponentContext.of(m5, np.zeros((m5.height, m5.width + 1), dtype=bool))
 
 
 def test_census_matrix5(m5):

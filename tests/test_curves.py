@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import holecount as hc
@@ -148,6 +150,18 @@ def test_lemma_rejects_degenerate_curve():
     # filled set; not a real digital curve.
     with pytest.raises(CurveError):
         hc.check_curve_lemma([(0, 0), (1, 1), (2, 2), (1, 2), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "cycle, interior, error",
+    [
+        ([(0, 0), (0, 1), (1, 1)], None, "curve too short (3 points)"),
+        ([(0, 0), (0, 1), (1, 1), (1, 0)], {(2, 2)}, "pathological 2x2 window on the curve"),
+    ],
+)
+def test_lemma_rejects_short_or_pathological_curve(cycle, interior, error):
+    with pytest.raises(CurveError, match=re.escape(error)):
+        hc.check_curve_lemma(cycle, interior=interior)
 
 
 def test_accounting_matrix5(m5):

@@ -354,8 +354,9 @@ def test_genus3d_builds_no_point_sets(tmp_path, capsys, monkeypatch):
 
 
 def test_genus3d_stops_before_an_image_wide_surface(tmp_path, capsys, monkeypatch):
-    """With component 2 invalid, no image-wide surface is built: component 1
-    gets its own surface, then the reasons of component 2 are printed."""
+    """With component 2 invalid, no surface is built, neither an image-wide
+    one nor one of the valid component 1: the reasons of component 2 are
+    printed."""
     path = tmp_path / "two.txt"
     path.write_text("\n".join(["0000000", "0111000", "0111010", "0111000", "0000000"]) + "\n")
     built, extracted = [], []
@@ -365,4 +366,4 @@ def test_genus3d_stops_before_an_image_wide_surface(tmp_path, capsys, monkeypatc
     assert cli.main(["genus3d", str(path)]) == cli.EXIT_INPUT
     out, err = capsys.readouterr()
     assert (out, err) == ("", "component 2 invalid: isolated_or_thin_point at (2, 5)\n")
-    assert built == [] and len(extracted) == 1
+    assert built == [] and len(extracted) == 0
