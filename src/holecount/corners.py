@@ -161,16 +161,23 @@ class ComponentTable:
             np.concatenate([cols[thin], wc[shared]]) + offset[1],
         ])[:, np.argsort(faulty, kind="stable")]
         counts = np.bincount(faulty, minlength=n + 1)
-        self._starts = np.concatenate(([0], np.cumsum(counts)))
+        self._starts = np.concatenate(([0], np.cumsum(counts))).tolist()
         self.valid = (counts == 0) & ~self.overlaps
 
+    @cached_property
+    def censuses(self) -> list[CornerCensus]:
+        """The census of every row, built once; row 0 is the background's."""
+        return [CornerCensus(k[2], k[3], k[4], sum(k)) for k in self.classes.tolist()]
+
     def census(self, cid: int) -> CornerCensus:
-        k = self.classes[cid].tolist()
-        return CornerCensus(c2=k[2], c3=k[3], c4=k[4], boundary_total=sum(k))
+        return self.censuses[cid]
 
     def faults(self, cid: int) -> list[tuple[str, Point2]]:
         """The thin points, then the pathological windows of `cid`, each row-major."""
-        kinds, rows, cols = self._faults[:, self._starts[cid] : self._starts[cid + 1]].tolist()
+        start, stop = self._starts[cid], self._starts[cid + 1]
+        if start == stop:
+            return []
+        kinds, rows, cols = self._faults[:, start:stop].tolist()
         return [(_FAULTS[f], (r, c)) for f, r, c in zip(kinds, rows, cols)]
 
 
@@ -190,22 +197,26 @@ def _image(shape, origin=(0, 0)) -> tuple[slice, slice]:
 class ComponentContext:
     """One component cut out of its image, with the arrays its checks share.
 
-    `mask` is `crop`, the component's box in the `image` rows and columns
-    (two slices), whose first cell is at `origin`, grown by a background
-    ring; a position in it plus `offset` is the image position. `table` is
-    the table of `labels`, a `LabelMap` (`cid` is its row), else the crop's
-    own; `direct` and `boundary` are cut from it at the crop, with no ring.
-    These, the complement labeling and the contour table (`curve_row`) are
-    computed on first read and shared.
+    `crop` is a copy of the component's box in the `image` rows and columns
+    (two slices), whose first cell is at `origin`: a view would keep the
+    image-sized mask it was cut from alive. `mask`, the crop grown by a
+    background ring, is built on first read; a position in it plus `offset`
+    is the image position. `table` is the table of `labels`, a `LabelMap`
+    (`cid` is its row), set when the context is made, else the crop's own;
+    `direct` and `boundary` are cut from it at the crop. These, the
+    complement labeling and the contour table (`curve_row`) are computed on
+    first read and shared.
     """
 
     def __init__(self, crop: np.ndarray, origin: tuple[int, int], image, labels=None, cid=1):
+        self.crop = crop.copy()
         self.image = image
         self.origin = origin
         self.offset = (origin[0] - 1, origin[1] - 1)
-        self.mask = _ringed(crop)
-        self.area = int(self.mask.sum())
+        self.area = int(np.count_nonzero(self.crop))
         self.labels, self.cid = labels, cid
+        if labels is not None:  # a row of the image's table
+            self.table = labels.table
 
     @classmethod
     def of(cls, g: BinaryGrid | None, component) -> "ComponentContext":
@@ -242,16 +253,18 @@ class ComponentContext:
     def of_label(cls, labels, component_id: int) -> "ComponentContext":
         """Context of one component of a `labeling.LabelMap`."""
         mask = labels.mask_of(component_id)
-        window = labels.slices[component_id - 1]
-        origin = (window[0].start, window[1].start)
-        return cls(mask[window], origin, _image(mask.shape), labels, component_id)
+        rows, cols = labels.slices[component_id - 1]
+        image = (slice(0, mask.shape[0]), slice(0, mask.shape[1]))
+        return cls(mask[rows, cols], (rows.start, cols.start), image, labels, component_id)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        return _ringed(self.crop)
 
     @cached_property
     def table(self) -> ComponentTable:
-        """The table of its `LabelMap`, else of the crop read as one component."""
-        if self.labels is not None:
-            return self.labels.table
-        return ComponentTable(self.mask[1:-1, 1:-1].view(np.uint8), 1, self.origin)
+        """The crop's own table, read as one component."""
+        return ComponentTable(self.crop.view(np.uint8), 1, self.origin)
 
     @cached_property
     def curve_row(self):
@@ -261,14 +274,14 @@ class ComponentContext:
             return self.labels.curves, self.cid
         from .curves import CurveTable  # curves imports this module
 
-        crop = self.mask[1:-1, 1:-1].view(np.uint8)
+        crop = self.crop.view(np.uint8)
         table = self.table if self.labels is None else ComponentTable(crop, 1, self.origin)
         return CurveTable(crop, 1, table, hole_regions(crop, 1), self.origin), 1
 
     @cached_property
     def window(self) -> tuple[slice, slice]:
         """The crop's cells in the arrays of `table`."""
-        return _image(self.mask[1:-1, 1:-1].shape, np.subtract(self.origin, self.table.offset))
+        return _image(self.crop.shape, np.subtract(self.origin, self.table.offset))
 
     @cached_property
     def direct(self) -> np.ndarray:
@@ -278,9 +291,9 @@ class ComponentContext:
     @cached_property
     def boundary(self) -> np.ndarray:
         # Other components may lie in the box: only its own cells count.
-        return self.table.boundary[self.window] & self.mask[1:-1, 1:-1]
+        return self.table.boundary[self.window] & self.crop
 
-    @cached_property
+    @property
     def thin_points(self) -> list[Point2]:
         """Boundary points with fewer than 2 direct neighbors, row-major."""
         return [p for kind, p in self.table.faults(self.cid) if kind == ISOLATED_OR_THIN_POINT]
@@ -323,7 +336,7 @@ def classify_corners(g: BinaryGrid, component) -> CornerClassification:
     if not ctx.area:
         raise EmptyComponentError("census of an empty component")
     return CornerClassification(
-        census=ctx.census, degenerate_points=tuple(ctx.thin_points), context=ctx
+        census=ctx.table.census(ctx.cid), degenerate_points=tuple(ctx.thin_points), context=ctx
     )
 
 
@@ -341,8 +354,8 @@ def find_pathological(g: BinaryGrid, component) -> PathologyReport:
     # Windows reaching outside the image hold a background pair, so they
     # never hit; they are only left out of the count.
     scanned = 1
-    for first, size, span in zip(ctx.offset, ctx.mask.shape, ctx.image):
-        last = min(first + size - 2, span.stop - 2)
+    for first, size, span in zip(ctx.offset, ctx.crop.shape, ctx.image):
+        last = min(first + size, span.stop - 2)
         scanned *= max(last - max(first, span.start) + 1, 0)
     return PathologyReport(windows=windows, clean=not windows, windows_scanned=scanned)
 
@@ -361,7 +374,7 @@ def validate_component(g: BinaryGrid, component) -> ValidityReport:
     ctx = ComponentContext.of(g, component)
     reasons = ctx.table.faults(ctx.cid)
     overlap = ctx.table.overlaps[ctx.cid]
-    if not reasons and (overlap or ctx.labels is None and label_mask(ctx.mask)[1] != 1):
+    if not reasons and (overlap or ctx.labels is None and label_mask(ctx.crop)[1] != 1):
         from .curves import trace_contours
 
         try:

@@ -296,7 +296,7 @@ def curve_census(g: BinaryGrid, component, contour: Contour) -> CurveCensus:
     ctx = ComponentContext.of(g, component)
     pts = np.array(contour.points, dtype=np.intp).reshape(-1, 2) - ctx.origin
     inside = ((pts >= 0) & (pts < ctx.direct.shape)).all(axis=1)
-    inside[inside] = ctx.mask[1:-1, 1:-1][pts[inside, 0], pts[inside, 1]]
+    inside[inside] = ctx.crop[pts[inside, 0], pts[inside, 1]]
     if not inside.all():
         p = contour.points[int(np.argmin(inside))]
         raise ValueError(f"contour point {p} not in component")

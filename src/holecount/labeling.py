@@ -120,6 +120,11 @@ class LabelMap:
         return hole_regions(self.labels, self.component_count, self.edge_boxes)
 
     @cached_property
+    def hole_counts(self) -> list[int]:
+        """`complements`' hole count of each label as a list; index 0 unused."""
+        return self.complements[0].tolist()
+
+    @cached_property
     def curves(self):
         """Contours of every component, a `curves.CurveTable`."""
         from .curves import CurveTable  # curves imports this module
@@ -234,16 +239,18 @@ def holes_in_mask(mask) -> int:
     The mask is taken as one isolated object: its bounding box is padded by
     one background ring, the complement is 4-connected-labeled, and every
     region other than the unbounded one counts as a hole. The mask may be
-    any 2D array-like of truth values. Given a `corners.ComponentContext`,
-    its count in its `LabelMap`'s mosaic (`hole_regions`), which counts the
-    same regions, is read, else its complement labeling.
+    any 2D array-like of truth values, or a `corners.ComponentContext`. A
+    context of a `LabelMap` reads its row of the map's `hole_counts`, from
+    the mosaic (`hole_regions`) that counts the same regions, and builds
+    nothing; any other context labels its complement.
     """
+    labels = getattr(mask, "labels", None)
+    if isinstance(labels, LabelMap):
+        return labels.hole_counts[mask.cid]
     from .corners import ComponentContext  # corners imports this module
 
-    if not isinstance(mask, ComponentContext):
-        mask = np.asarray(mask, dtype=bool)
-    ctx = ComponentContext.of(None, mask)
-    return ctx.complement[1] - 1 if ctx.labels is None else int(ctx.labels.complements[0][ctx.cid])
+    ctx = mask if isinstance(mask, ComponentContext) else ComponentContext.of(None, np.asarray(mask, dtype=bool))
+    return ctx.complement[1] - 1
 
 
 def count_holes_oracle(g: BinaryGrid, component_id: int, labels: LabelMap | None = None) -> int:

@@ -203,10 +203,34 @@ def test_crop_path_matches_full_image_reference(g):
         assert rep.to_dict() == record
         assert list(rep.validity.reasons) == reasons
         assert list(rep.classification.classes.items()) == list(classes.items())
+        assert list(rep.classification.degenerate_points) == [p for p, k in classes.items() if k < 2]
         if contours is not None:
             for component in (labels.mask_of(cid), corners.ComponentContext.of_label(labels, cid)):
                 traced = hc.trace_contours(g, component)
                 assert [(ct.kind, list(ct.points), ct.enclosed_region) for ct in traced] == contours
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids())
+@example(hc.grid_from_rows(NESTED))
+@example(hc.grid_from_rows(["1100", "1100", "0010"]))
+def test_label_context_matches_a_context_of_its_mask(g):
+    """A context read from the image's tables builds its ring and its
+    complement only when they are read, and they, its crop's arrays and its
+    census equal those of a context of the component's own mask. Other
+    components may lie in the box, so `direct` is compared at the
+    component's cells."""
+    labels = hc.label_components(g)
+    for cid in range(1, labels.component_count + 1):
+        ctx = corners.ComponentContext.of_label(labels, cid)
+        alone = corners.ComponentContext.of(g, labels.mask_of(cid))
+        assert not {"mask", "complement", "direct", "boundary"} & set(vars(ctx))
+        assert np.array_equal(ctx.mask, alone.mask)
+        assert (ctx.offset, ctx.area, ctx.census) == (alone.offset, alone.area, alone.census)
+        assert np.array_equal(ctx.direct[ctx.crop], alone.direct[alone.crop])
+        assert np.array_equal(ctx.boundary, alone.boundary)
+        (regions, n), (alone_regions, alone_n) = ctx.complement, alone.complement
+        assert n == alone_n and np.array_equal(regions, alone_regions)
 
 
 @st.composite
@@ -447,11 +471,16 @@ def test_curves_stops_before_the_contour_table(tmp_path, capsys, monkeypatch):
     assert regions == [] and built == []
 
 
+def count_method_calls(monkeypatch, cls, name):
+    """Arguments of every call of the method `cls.name`, less the instance."""
+    calls, real = [], getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *args: calls.append(args) or real(self, *args))
+    return calls
+
+
 def count_inits(monkeypatch, cls):
     """Arguments of every construction of `cls`."""
-    built, real = [], cls.__init__
-    monkeypatch.setattr(cls, "__init__", lambda self, *args: built.append(args) or real(self, *args))
-    return built
+    return count_method_calls(monkeypatch, cls, "__init__")
 
 
 @pytest.mark.parametrize("n", [1, 60])
@@ -494,12 +523,15 @@ def test_a_request_cuts_out_only_the_component_it_stops_at(g):
             assert err.getvalue().startswith(f"component {args[4]}")
 
 
+# Five 1 x 2 dominoes, each cell a thin point.
+DOMINOES = hc.grid_from_rows(["0" * 16, "0" + "110" * 5, "0" * 16])
+
+
 def test_thin_points_are_decoded_once(monkeypatch):
     """The thin points and pathological windows of every component come
     from the image's table, sorted by label once: no component decodes its
     own."""
-    k = 5
-    g = hc.grid_from_rows(["0" * 16, "0" + "110" * k, "0" * 16])
+    k, g = 5, DOMINOES
     decoded = count_calls(monkeypatch, corners, "_positions")
     reports = hc.analyze_image(g)
     assert [rep.validity.reasons for rep in reports] == [
@@ -507,6 +539,48 @@ def test_thin_points_are_decoded_once(monkeypatch):
         for i in range(k)
     ]
     assert len(decoded) == 0
+
+
+def owner(a):
+    """The array that holds `a`'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("g", [tile(2, 3), DOMINOES], ids=["tile", "dominoes"])
+def test_reports_keep_no_image_sized_array(g):
+    """Each report's context owns its crop and its ringed mask: a crop cut
+    as a view of `mask_of`'s image-sized mask would keep one such mask alive
+    per report, 32,768 of them on a 256 x 256 checkerboard."""
+    reports = hc.analyze_image(g)
+    assert len(reports) == (5 if g is DOMINOES else 6)
+    for rep in reports:
+        ctx = rep.classification.context
+        rows, cols = ctx.crop.shape
+        for a in (ctx.crop, ctx.mask):
+            assert owner(a).size <= (rows + 2) * (cols + 2) < g.cells.size
+
+
+def test_a_valid_row_rings_no_crop(tmp_path, capsys, monkeypatch):
+    """An all-valid `analyze` request rings one array, the image's
+    foreground in `neighbor_counts`, and cuts one mask per component; the
+    text overlay reads each component's classes at its crop. A context
+    rings its crop only when its `mask` is read."""
+    g = tile(2, 3)
+    path = write_grid(tmp_path, g)
+    ringed = count_calls(monkeypatch, corners, "_ringed")
+    cut = count_method_calls(monkeypatch, labeling.LabelMap, "mask_of")
+    for output in ("json", "text"):
+        assert cli.main(["analyze", path, "--output", output]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert [mask.shape for mask, in ringed] == [g.cells.shape]
+        assert cut == [(cid,) for cid in range(1, 7)]
+        del ringed[:], cut[:]
+    ctx = hc.analyze_image(g)[0].classification.context
+    ringed.clear()
+    assert np.array_equal(ctx.mask, np.pad(ctx.crop, 1)) and ctx.mask is ctx.mask
+    assert [mask.shape for mask, in ringed] == [ctx.crop.shape]
 
 
 def test_context_arrays_are_cropped():
