@@ -171,14 +171,14 @@ class CurveTable:
             walked.append(front)
             while front[0].size and 1 << j <= sink:  # each unfinished contour's next 2^j states
                 state, contour, at = front
-                span, ahead = 1 << j, jump[state]
-                go = ~ends[ahead]
+                span, ahead = 1 << j, jump.take(state)
+                go = ~ends.take(ahead)
                 end[contour[~go]] = ahead[~go]
                 walked.append([ahead[go], contour[go], at[go] + span])
                 on = np.bincount(contour[~go], minlength=outer.size)[contour] == 0
                 front = [np.concatenate([v[on], w[on]]) for v, w in zip(front, [ahead, contour, at + span])]
                 j += 1
-                jump = jumps[j] if j < len(jumps) else jump[jump]
+                jump = jumps[j] if j < len(jumps) else jump.take(jump)  # `take`: as subscripts, int32 indices are slow
                 if j == len(jumps) and rounds > 1:
                     jumps.append(jump)
             end[front[1]] = sink

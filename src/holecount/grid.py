@@ -88,6 +88,18 @@ def _bits(chunks: list[str], shape: tuple[int, int]) -> BinaryGrid:
     return BinaryGrid((codes == ord("1")).reshape(shape))
 
 
+def _canonical_ascii01(data) -> BinaryGrid | None:
+    """The grid of `data` if it is H >= 1 rows of W >= 1 bytes '0'/'1', each
+    ending in '\\n', and nothing else (`to_ascii01`'s form); else None."""
+    try:  # TypeError: a str or no buffer; BufferError: a buffer with gaps; ValueError: ragged
+        rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, bytes(data).find(b"\n") + 1)
+    except (TypeError, BufferError, ValueError):
+        return None
+    bits = rows[:, :-1]
+    ok = bits.size and (rows[:, -1] == ord("\n")).all() and bits.min() >= ord("0") and bits.max() <= ord("1")
+    return BinaryGrid(bits == ord("1")) if ok else None
+
+
 def _parse_ascii01(text: str) -> BinaryGrid:
     rows = [row for row in map(str.strip, text.splitlines()) if row]
     if not rows:
@@ -170,12 +182,15 @@ def parse_image(data: bytes | bytearray | memoryview | str, fmt: str = "ascii01"
     """Parse a binary image.
 
     fmt='pbm_p1': plain netpbm bitmap, bit 1 = black = foreground.
-    fmt='ascii01': lines of '0'/'1' characters of equal length.
+    fmt='ascii01': lines of '0'/'1' characters of equal length, read in
+    whole-array passes if in `to_ascii01`'s form, else a line at a time.
     The README's "Input formats" gives the exact rules and error positions.
     Any bytes-like object (bytearray, memoryview, ...) is read as bytes.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
+    if fmt == "ascii01" and (g := _canonical_ascii01(data)) is not None:
+        return g
     name, parse = _FORMATS[fmt]
     try:
         if not isinstance(data, str):

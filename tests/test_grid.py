@@ -61,8 +61,10 @@ def test_parse_bytes_like_input_as_bytes(wrap, data, fmt):
 
 
 def test_parse_non_bytes_like_input_raises_type_error():
-    with pytest.raises(TypeError):
-        hc.parse_image(5, "ascii01")
+    # A buffer with gaps is not bytes-like either, though its bytes are canonical.
+    for data, kind in [(5, "int"), (memoryview(b"0x1x\nx1x0x\n")[::2], "memoryview")]:
+        with pytest.raises(TypeError, match=f"^decoding to str: need a bytes-like object, {kind} found$"):
+            hc.parse_image(data, "ascii01")
 
 
 def test_parse_ascii01_matrix5_foreground_tally(m5):

@@ -5,7 +5,9 @@ The references below are the package's earlier parsers and writers, kept
 here as the test oracle: they test one character at a time and build one
 Python object per pixel. For every input both parsers return equal grids
 or raise `ParseError` with the same text, line and offset; the writers
-return equal strings.
+return equal strings. Canonical ascii01 bytes take `parse_image`'s
+whole-array path and all other input its line parsers: both are held to
+the same references.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import holecount as hc
-from holecount import cli
+from holecount import cli, grid
 from holecount.errors import ParseError
 
 
@@ -95,9 +97,9 @@ def ref_parse_image(data, fmt="ascii01"):
             data = data.encode("ascii")
         return ref_parse_pbm_p1(data)
     if fmt == "ascii01":
-        if isinstance(data, bytes):
+        if not isinstance(data, str):
             try:
-                data = data.decode("ascii")
+                data = bytes(data).decode("ascii")
             except UnicodeDecodeError as exc:
                 raise ParseError(f"ascii01 must be ASCII: {exc}") from None
         return ref_parse_ascii01(data)
@@ -153,6 +155,21 @@ ALPHABET = (
 
 fragments = st.lists(st.sampled_from(ALPHABET), max_size=40).map("".join)
 ascii_fragments = fragments.map(lambda s: s.encode("ascii", "ignore"))
+small_grids = arrays(dtype=bool, shape=st.tuples(st.integers(1, 12), st.integers(1, 12)))
+
+# `to_ascii01`'s form, which `parse_image` reads in whole-array passes, and
+# one fault away from it, read a line at a time.
+NEAR_CANONICAL = {
+    "no-final-newline": lambda t: t[:-1],
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "trailing-space": lambda t: t[:-1] + " \n",
+    "blank-line": lambda t: t.replace("\n", "\n\n", 1),
+    "illegal-2": lambda t: "2" + t[1:],
+    "illegal-x": lambda t: t[:-2] + "x\n",
+    "short-row": lambda t: t[1:],
+    "leading-newline": lambda t: "\n" + t,
+}
+BYTES_LIKE = [bytes, bytearray, memoryview]
 
 
 def to_bytes(text):
@@ -193,6 +210,17 @@ def ascii01_texts(draw):
 
 
 @st.composite
+def renderings(draw):
+    """A grid's `to_ascii01` rendering, often near-canonical, as bytes,
+    bytearray or memoryview."""
+    text = hc.to_ascii01(hc.BinaryGrid(draw(small_grids)))
+    variant = draw(st.sampled_from([None, None, None, *NEAR_CANONICAL]))
+    if variant:
+        text = NEAR_CANONICAL[variant](text)
+    return draw(st.sampled_from(BYTES_LIKE))(text.encode("ascii"))
+
+
+@st.composite
 def pbm_texts(draw):
     """A P1 header and raster with comments, packed runs and any line
     break; the dimensions do not always fit the raster."""
@@ -228,12 +256,20 @@ def pbm_texts(draw):
         "0\xe9\n",
         "\x1f\t\u3000\n",
         "",
+        "0\n",  # canonical: 1x1, 1xW, Hx1 and HxW
+        "0110\n",
+        "1\n0\n1\n",
+        "01\n10\n11\n",
+        *(variant("01\n10\n11\n") for variant in NEAR_CANONICAL.values()),
+        "01\n10\n110",  # a row too long by the final '\n' it lacks
+        "\n\n",
     ],
 )
 def test_ascii01_matches_reference_on_examples(text):
     assert_same(text, "ascii01")
     if text.isascii():
-        assert_same(text.encode("ascii"), "ascii01")
+        for wrap in BYTES_LIKE:
+            assert_same(wrap(text.encode("ascii")), "ascii01")
 
 
 @pytest.mark.parametrize(
@@ -266,10 +302,33 @@ def test_ascii01_str_matches_reference(text):
     assert_same(text, "ascii01")
 
 
+WIDE = hc.to_ascii01(hc.BinaryGrid(np.random.default_rng(5).random((3, 5000)) < 0.5))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(ascii01_texts().map(to_bytes), ascii_fragments, st.binary(max_size=30)))
+@given(st.one_of(ascii01_texts().map(to_bytes), ascii_fragments, st.binary(max_size=30), renderings()))
+@example(WIDE.encode("ascii"))
+@example(memoryview(WIDE.encode("ascii")))
+@example(bytearray(NEAR_CANONICAL["crlf"](WIDE).encode("ascii")))
+@example(NEAR_CANONICAL["illegal-x"](WIDE).encode("ascii"))
 def test_ascii01_bytes_matches_reference(data):
     assert_same(data, "ascii01")
+
+
+@pytest.mark.parametrize("variant", [None, *NEAR_CANONICAL])
+@pytest.mark.parametrize("text", ["01\n10\n11\n", WIDE], ids=["3x2", "3x5000"])
+def test_only_near_canonical_ascii01_reaches_the_line_parser(monkeypatch, text, variant):
+    """Canonical bytes, as any bytes-like object, never reach
+    `_parse_ascii01`; each near-canonical variant reaches it once."""
+    calls = []
+    name, parse = grid._FORMATS["ascii01"]
+    monkeypatch.setitem(grid._FORMATS, "ascii01", (name, lambda t: calls.append(t) or parse(t)))
+    if variant:
+        text = NEAR_CANONICAL[variant](text)
+    for wrap in BYTES_LIKE:
+        calls.clear()
+        assert_same(wrap(text.encode("ascii")), "ascii01")
+        assert len(calls) == (1 if variant else 0)
 
 
 @settings(max_examples=250, deadline=None)
@@ -342,9 +401,6 @@ def test_pbm_huge_dimensions_raise_parse_error(data):
         ref_parse_image(data, "pbm_p1")
     with pytest.raises(ParseError):
         hc.parse_image(data, "pbm_p1")
-
-
-small_grids = arrays(dtype=bool, shape=st.tuples(st.integers(1, 12), st.integers(1, 12)))
 
 
 @settings(max_examples=100, deadline=None)
