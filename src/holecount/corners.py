@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContourOverlapError, EmptyComponentError, OutOfBoundsError
 from .grid import BinaryGrid, DIRECT_OFFSETS, DIAGONAL_OFFSETS, Point2
-from .labeling import hole_regions, label_mask
+from .labeling import bounding_box, hole_regions, label_mask
 
 ISOLATED_OR_THIN_POINT = "isolated_or_thin_point"
 PATHOLOGICAL_WINDOW = "pathological_window"
@@ -179,15 +179,6 @@ class ComponentTable:
             return []
         kinds, rows, cols = self._faults[:, start:stop].tolist()
         return [(_FAULTS[f], (r, c)) for f, r, c in zip(kinds, rows, cols)]
-
-
-def bounding_box(mask: np.ndarray) -> tuple[slice, slice]:
-    """The smallest box holding the mask's True cells, from one `any` per
-    axis; an empty box at (0, 0) when it has none."""
-    rows, cols = (np.flatnonzero(mask.any(axis=a)) for a in (1, 0))
-    if not rows.size:
-        return slice(0, 0), slice(0, 0)
-    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
 def _image(shape, origin=(0, 0)) -> tuple[slice, slice]:

@@ -8,6 +8,7 @@ all operations on them are pure functions.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +101,27 @@ def _canonical_ascii01(data) -> BinaryGrid | None:
     return BinaryGrid(bits == ord("1")) if ok else None
 
 
+# `to_pbm_p1`'s header; dimensions of 19 digits or more fit no buffer.
+_PBM_HEAD = re.compile(rb"P1\n([1-9][0-9]{0,17}) ([1-9][0-9]{0,17})\n")
+
+
+def _canonical_pbm_p1(data) -> BinaryGrid | None:
+    """The grid of `data` if it is `to_pbm_p1`'s form, `_PBM_HEAD` and then
+    H rows of W bytes '0'/'1', one space between each two and '\\n' after
+    the last, and nothing else; else None."""
+    try:  # as in `_canonical_ascii01`
+        raw = np.frombuffer(data, dtype=np.uint8)
+    except (TypeError, BufferError, ValueError):
+        return None
+    head = _PBM_HEAD.match(bytes(raw[:48]))
+    if head is None or raw.size - head.end() != 2 * int(head[1]) * int(head[2]):
+        return None
+    rows = raw[head.end() :].reshape(int(head[2]), -1)
+    bits = rows[:, ::2]
+    ok = (rows[:, 1:-1:2] == ord(" ")).all() and (rows[:, -1] == ord("\n")).all()
+    return BinaryGrid(bits == ord("1")) if ok and bits.min() >= ord("0") and bits.max() <= ord("1") else None
+
+
 def _parse_ascii01(text: str) -> BinaryGrid:
     rows = [row for row in map(str.strip, text.splitlines()) if row]
     if not rows:
@@ -176,20 +198,23 @@ def _parse_pbm_p1(text: str) -> BinaryGrid:
 
 
 _FORMATS = {"ascii01": ("ascii01", _parse_ascii01), "pbm_p1": ("PBM P1", _parse_pbm_p1)}
+# The whole-array reader of each format's canonical form, tried first.
+_CANONICAL = {"ascii01": _canonical_ascii01, "pbm_p1": _canonical_pbm_p1}
 
 
 def parse_image(data: bytes | bytearray | memoryview | str, fmt: str = "ascii01") -> BinaryGrid:
     """Parse a binary image.
 
     fmt='pbm_p1': plain netpbm bitmap, bit 1 = black = foreground.
-    fmt='ascii01': lines of '0'/'1' characters of equal length, read in
-    whole-array passes if in `to_ascii01`'s form, else a line at a time.
+    fmt='ascii01': lines of '0'/'1' characters of equal length.
+    Either is read in whole-array passes if in the form that `to_pbm_p1`
+    or `to_ascii01` writes, else a line at a time.
     The README's "Input formats" gives the exact rules and error positions.
     Any bytes-like object (bytearray, memoryview, ...) is read as bytes.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    if fmt == "ascii01" and (g := _canonical_ascii01(data)) is not None:
+    if (g := _CANONICAL[fmt](data)) is not None:
         return g
     name, parse = _FORMATS[fmt]
     try:

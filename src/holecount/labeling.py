@@ -87,23 +87,52 @@ def label_mask(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return label_runs(mask)
 
 
+def bounding_box(mask: np.ndarray) -> tuple[slice, slice]:
+    """The smallest box holding the mask's True cells, from one `any` per
+    axis; an empty box at (0, 0) when it has none."""
+    rows, cols = (np.flatnonzero(mask.any(axis=a)) for a in (1, 0))
+    if not rows.size:
+        return slice(0, 0), slice(0, 0)
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
 @dataclass(frozen=True)
 class LabelMap:
-    """Partition of target cells into 4-connected components."""
+    """Partition of target cells into 4-connected components.
 
-    labels: np.ndarray = field(repr=False)
+    `box` labels the target's bounding box, whose first cell is at `origin`
+    of an image of `shape` (by default `box`'s, so `LabelMap(labels, n)`
+    maps a whole label image). The tables are built on `box` at image
+    positions: off it, as off the image, no cell is a target cell. The
+    image-sized `labels` is pasted on first read.
+    """
+
+    box: np.ndarray = field(repr=False)
     component_count: int
+    origin: tuple[int, int] = (0, 0)
+    shape: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "shape", self.shape or self.box.shape)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The image-sized label array: `box` at `origin`, 0 elsewhere."""
+        labels = np.zeros(self.shape, dtype=self.box.dtype)
+        (r, c), (h, w) = self.origin, self.box.shape
+        labels[r : r + h, c : c + w] = self.box
+        labels.setflags(write=False)
+        return labels
 
     @cached_property
     def edge_boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`_edge_boxes` of the label image, found once for `slices` and
-        `complements`."""
-        return _edge_boxes(self.labels, self.component_count)
+        """`_edge_boxes` of `box`, found once for `slices` and `complements`."""
+        return _edge_boxes(self.box, self.component_count)
 
     @cached_property
     def slices(self) -> list[tuple[slice, slice]]:
         """Bounding box of each component as two slices; id i at index i - 1."""
-        low, high = self.edge_boxes[1:]
+        low, high = (cells + self.origin for cells in self.edge_boxes[1:])
         (r0, c0), (r1, c1) = low.T.tolist(), (high.T + 1).tolist()
         return list(zip(map(slice, r0, r1), map(slice, c0, c1)))
 
@@ -112,12 +141,12 @@ class LabelMap:
         """Census and validity of every component, a `corners.ComponentTable`."""
         from .corners import ComponentTable  # corners imports this module
 
-        return ComponentTable(self.labels, self.component_count)
+        return ComponentTable(self.box, self.component_count, self.origin)
 
     @cached_property
     def complements(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hole regions of every component from one labelling (`hole_regions`)."""
-        return hole_regions(self.labels, self.component_count, self.edge_boxes)
+        """Hole regions of every component from one labelling (`hole_regions`) of `box`."""
+        return hole_regions(self.box, self.component_count, self.edge_boxes)
 
     @cached_property
     def hole_counts(self) -> list[int]:
@@ -129,14 +158,14 @@ class LabelMap:
         """Contours of every component, a `curves.CurveTable`."""
         from .curves import CurveTable  # curves imports this module
 
-        return CurveTable(self.labels, self.component_count, self.table, self.complements)
+        return CurveTable(self.box, self.component_count, self.table, self.complements, self.origin)
 
     @cached_property
     def surface(self):
         """Doubled-surface census of every component, a `solid3d.SurfaceTable`."""
         from .solid3d import SurfaceTable  # solid3d imports this module
 
-        return SurfaceTable(self.labels, self.component_count)
+        return SurfaceTable(self.box, self.component_count)
 
     def points_of(self, component_id: int) -> frozenset[Point2]:
         return frozenset(map(tuple, np.argwhere(self.mask_of(component_id)).tolist()))
@@ -147,23 +176,31 @@ class LabelMap:
             raise UnknownComponentError(
                 f"component {component_id} not in 1..{self.component_count}"
             )
-        window = self.slices[component_id - 1]
-        mask = np.zeros(self.labels.shape, dtype=bool)
-        mask[window] = self.labels[window] == component_id
+        # The cut of `box` is worked out per call (kept for every row, as
+        # slices, the cuts cost `analyze` more in garbage collections than
+        # they save) and compared straight into the mask, with no temporary.
+        (rows, cols), (r, c) = self.slices[component_id - 1], self.origin
+        mask = np.zeros(self.shape, dtype=bool)
+        cut = self.box[rows.start - r : rows.stop - r, cols.start - c : cols.stop - c]
+        np.equal(cut, component_id, out=mask[rows, cols])
         return mask
 
 
 def label_components(g: BinaryGrid, target: str = "foreground") -> LabelMap:
-    """Label the foreground or the background of a grid."""
+    """Label the foreground or the background of a grid: only the target's
+    bounding box, or the whole grid if it has no target cell (`LabelMap`)."""
     if target == "foreground":
         mask = g.cells
     elif target == "background":
         mask = ~g.cells
     else:
         raise ValueError(f"unknown target {target!r}")
-    labels, n = label_mask(mask)
+    rows, cols = bounding_box(mask)
+    if not rows.stop:  # no target cell
+        rows, cols = slice(0, g.height), slice(0, g.width)
+    labels, n = label_mask(mask[rows, cols])
     labels.setflags(write=False)
-    return LabelMap(labels=labels, component_count=n)
+    return LabelMap(labels, n, (rows.start, cols.start), mask.shape)
 
 
 def _edge_boxes(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import EmptyComponentError, InvalidSurfaceError, MultipleSurfaceComponentsError, ThinSolidError
 from .grid import BinaryGrid
-from .corners import ComponentContext, bounding_box
+from .corners import ComponentContext
 from .labeling import label_mask, label_runs
 
 Point3 = tuple[int, int, int]
@@ -287,7 +287,7 @@ def _component_chis(sc: SurfaceComplex, labels: np.ndarray, n: int) -> list[int]
 
 class SurfaceTable:
     """Surface census and Euler characteristic of every component's doubled
-    solid, from one doubling of a label image's foreground (its bounding
+    solid, from one doubling of a label image's foreground (a `LabelMap`'s
     box), whose surface is found as `extract_surface` finds it. Row `cid`
     of `points` counts its points by class, 1..6 on the surface; of
     `genus`, (2 - (V - E + F)) / 2.
@@ -306,14 +306,11 @@ class SurfaceTable:
     """
 
     def __init__(self, labels: np.ndarray, n: int):
-        fg = labels != 0
-        box = bounding_box(fg)
-        own = labels[box].astype(np.intp)
-        cubes, faces = _cubes_and_faces(np.repeat(fg[box][None], 2, axis=0))
+        cubes, faces = _cubes_and_faces(np.repeat((labels != 0)[None], 2, axis=0))
         degree, edge_cells, vertex_class = _edges_and_points(faces)
         # Per pixel, over the cells whose minimum corner it is: V - E + F,
         # and whether an edge lies in other than 0 or 2 faces.
-        chi, bad = np.zeros(own.shape, dtype=np.int8), np.zeros(own.shape, dtype=bool)
+        chi, bad = np.zeros(labels.shape, dtype=np.int8), np.zeros(labels.shape, dtype=bool)
         for cells, add in [([vertex_class > 0], np.add), (faces, np.add), (edge_cells, np.subtract)]:
             for c in cells:
                 at = chi[: c.shape[1], : c.shape[2]]
@@ -322,15 +319,17 @@ class SurfaceTable:
         for d in degree:
             at = bad[: d.shape[1], : d.shape[2]]
             at |= (d & ~2).any(axis=0)
-        own7, key = own * 7, np.empty_like(own)
-        points = sum(np.bincount(np.add(own7, v, out=key).ravel(), minlength=7 * (n + 1)) for v in vertex_class)
-        self.points = points.reshape(n + 1, 7)
-        self.genus = (2 - np.bincount(own.ravel(), weights=chi.ravel(), minlength=n + 1).astype(int)) // 2
+        # Per label, the pixels of each code: a point's class on either layer
+        # (0..6), and V - E + F + 5 (0..11).
+        key, out = np.multiply(labels, 16, dtype=np.intp), np.empty(labels.shape, dtype=np.intp)
+        tally = [np.bincount(np.add(key, c, out=out).ravel(), minlength=16 * (n + 1)) for c in (*vertex_class, chi + 5)]
+        self.points = (tally[0] + tally[1]).reshape(n + 1, 16)[:, :7]
+        self.genus = (2 - tally[2].reshape(n + 1, 16) @ np.arange(-5, 11)) // 2
         pieces, count = label_mask(cubes[0])
-        owner = np.zeros(count + 1, dtype=np.intp)
-        owner[pieces] = own[:-1, :-1]
+        owner = np.zeros(count + 1, dtype=labels.dtype)
+        owner[pieces] = labels[:-1, :-1]
         self.clean = np.bincount(owner[1:], minlength=n + 1) == 1
-        self.clean &= ~self.points[:, 1:3].any(axis=1) & (np.bincount(own[bad], minlength=n + 1) == 0)
+        self.clean &= ~self.points[:, 1:3].any(axis=1) & (np.bincount(labels[bad], minlength=n + 1) == 0)
 
 
 def export_obj(sc: SurfaceComplex) -> str:

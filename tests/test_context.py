@@ -412,12 +412,12 @@ def test_analyze_labels_the_image_and_the_mosaic(monkeypatch):
     reports = hc.analyze_image(g)
     assert len(reports) == 6 and all(rep.agreement for rep in reports)
     assert [rep.holes_oracle for rep in reports] == [(i + j) % 3 for i in range(2) for j in range(3)]
-    once = [g.cells.size]
+    once = [22 * 34]  # the foreground's box, rows 1..22 and columns 1..34 of 26 x 38
     assert image_work(work) == {
         "neighbor_counts": once, "diagonal_pairs": once, "_positions": [], "trace_contours": []
     }
     image, mosaic = (mask for mask, in labeled)
-    assert image.shape == g.cells.shape
+    assert image.shape == (22, 34)
     # The six ringed 10 x 10 boxes, not one 12 x 12 crop.
     assert mosaic.size >= 6 * 12 * 12
 
@@ -427,7 +427,7 @@ def test_genus3d_reads_validity_from_the_table(tmp_path, capsys, monkeypatch):
     work = count_work(monkeypatch)
     assert cli.main(["genus3d", write_grid(tmp_path, g)]) == cli.EXIT_OK
     assert len(json.loads(capsys.readouterr().out)) == 12
-    once = [g.cells.size]
+    once = [34 * 46]  # the foreground's box, rows 1..34 and columns 1..46 of 38 x 50
     assert image_work(work) == {
         "neighbor_counts": once, "diagonal_pairs": once, "_positions": [], "trace_contours": []
     }
@@ -451,10 +451,10 @@ def test_curves_traces_each_component_once(tmp_path, capsys, monkeypatch):
     assert len(json.loads(capsys.readouterr().out)) == 400
     assert traced == [] and len(built) == 1
     image, mosaic = (mask for mask, in labeled)
-    assert image.shape == g.cells.shape
+    assert image.shape == (238, 238)  # the foreground's box, rows and columns 1..238 of 242
     # The ringed 10 x 10 boxes (0-2 holes each), packed with little waste.
     assert 400 * 12 * 12 <= mosaic.size < 1.1 * 400 * 12 * 12
-    assert [mask.size for mask, in counted] == [g.cells.size]
+    assert [mask.size for mask, in counted] == [238 * 238]
 
 
 def test_curves_stops_before_the_contour_table(tmp_path, capsys, monkeypatch):
@@ -574,7 +574,7 @@ def test_a_valid_row_rings_no_crop(tmp_path, capsys, monkeypatch):
     for output in ("json", "text"):
         assert cli.main(["analyze", path, "--output", output]) == cli.EXIT_OK
         capsys.readouterr()
-        assert [mask.shape for mask, in ringed] == [g.cells.shape]
+        assert [mask.shape for mask, in ringed] == [(22, 34)]  # the foreground's box in 26 x 38
         assert cut == [(cid,) for cid in range(1, 7)]
         del ringed[:], cut[:]
     ctx = hc.analyze_image(g)[0].classification.context
@@ -594,7 +594,7 @@ def test_context_arrays_are_cropped():
 
 def test_label_map_has_no_point_sets(m7):
     lm = hc.label_components(hc.pad_background(m7, 2), "foreground")
-    assert set(vars(lm)) <= {"labels", "component_count", "slices"}
+    assert set(vars(lm)) <= {"box", "origin", "shape", "labels", "component_count", "slices"}
     assert lm.points_of(1) == hc.pad_background(m7, 2).foreground_points()
     assert lm.mask_of(1).shape == lm.labels.shape
 

@@ -5,9 +5,9 @@ The references below are the package's earlier parsers and writers, kept
 here as the test oracle: they test one character at a time and build one
 Python object per pixel. For every input both parsers return equal grids
 or raise `ParseError` with the same text, line and offset; the writers
-return equal strings. Canonical ascii01 bytes take `parse_image`'s
-whole-array path and all other input its line parsers: both are held to
-the same references.
+return equal strings. Canonical ascii01 and PBM P1 bytes take
+`parse_image`'s whole-array paths and all other input its line parsers:
+both are held to the same references.
 """
 
 import numpy as np
@@ -95,7 +95,7 @@ def ref_parse_image(data, fmt="ascii01"):
     if fmt == "pbm_p1":
         if isinstance(data, str):
             data = data.encode("ascii")
-        return ref_parse_pbm_p1(data)
+        return ref_parse_pbm_p1(bytes(data))  # any bytes-like object as bytes
     if fmt == "ascii01":
         if not isinstance(data, str):
             try:
@@ -169,6 +169,25 @@ NEAR_CANONICAL = {
     "short-row": lambda t: t[1:],
     "leading-newline": lambda t: "\n" + t,
 }
+# Likewise for `to_pbm_p1`'s form (grids at least 2 wide, so that every
+# variant differs from it): one fault away from it, read a line at a time.
+PBM_NEAR_CANONICAL = {
+    "no-final-newline": lambda t: t[:-1],
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "header-on-one-line": lambda t: t.replace("\n", " ", 1),
+    "comment": lambda t: t.replace("\n", " # c\n", 1),
+    "leading-zero": lambda t: t.replace("\n", "\n0", 1),
+    "double-space": lambda t: t.replace(" ", "  ", 1),
+    "tab": lambda t: t[::-1].replace(" ", "\t", 1)[::-1],
+    "packed": lambda t: t[::-1].replace(" ", "", 1)[::-1],
+    "trailing-space": lambda t: t[:-1] + " \n",
+    "blank-line": lambda t: t + "\n",
+    "illegal-2": lambda t: t[:-2] + "2\n",
+    "missing-bit": lambda t: t[:-2] + "\n",
+    "extra-bit": lambda t: t + "1\n",
+    "p2": lambda t: "P2" + t[2:],
+    "zero-height": lambda t: t[: t.index(" ") + 1] + "0" + t[t.index("\n", 3) :],
+}
 BYTES_LIKE = [bytes, bytearray, memoryview]
 
 
@@ -217,6 +236,17 @@ def renderings(draw):
     variant = draw(st.sampled_from([None, None, None, *NEAR_CANONICAL]))
     if variant:
         text = NEAR_CANONICAL[variant](text)
+    return draw(st.sampled_from(BYTES_LIKE))(text.encode("ascii"))
+
+
+@st.composite
+def pbm_renderings(draw):
+    """A grid's `to_pbm_p1` rendering, often near-canonical, as bytes,
+    bytearray or memoryview."""
+    text = hc.to_pbm_p1(hc.BinaryGrid(draw(small_grids)))
+    variant = draw(st.sampled_from([None, None, None, *PBM_NEAR_CANONICAL]))
+    if variant:
+        text = PBM_NEAR_CANONICAL[variant](text)
     return draw(st.sampled_from(BYTES_LIKE))(text.encode("ascii"))
 
 
@@ -288,6 +318,14 @@ def test_ascii01_matches_reference_on_examples(text):
         b"#P1\n",
         b"P1 2 2 1 0 0 \x80",
         b"P1 1 1 1",
+        b"P1\n1 1\n1\n",  # canonical: 1x1, 1xW, Hx1 and HxW
+        b"P1\n3 1\n0 1 1\n",
+        b"P1\n1 3\n1\n0\n1\n",
+        b"P1\n2 3\n0 1\n1 0\n1 1\n",
+        *(variant("P1\n2 3\n0 1\n1 0\n1 1\n").encode("ascii") for variant in PBM_NEAR_CANONICAL.values()),
+        b"P1\n2 1\n0 1\n\x00",  # a byte after the raster
+        b"P1\n2 1\n0 1 \n",  # rows of the right length, a space at the end
+        b"P1\n2 2\n0 11 0\n",
     ],
 )
 def test_pbm_matches_reference_on_examples(data):
@@ -386,6 +424,33 @@ def test_pbm_matches_reference_at_scale(rows, tail, spaced):
     text = "P1\n300 300\n" + "\n".join(sep.join(row) for row in rows) + tail + "\n"
     assert_same(text.encode("ascii"), "pbm_p1")
     assert_same(text, "pbm_p1")
+
+
+WIDE_PBM = hc.to_pbm_p1(hc.BinaryGrid(np.random.default_rng(5).random((3, 2000)) < 0.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pbm_renderings())
+@example(WIDE_PBM.encode("ascii"))
+@example(memoryview(PBM_NEAR_CANONICAL["crlf"](WIDE_PBM).encode("ascii")))
+def test_pbm_renderings_match_reference(data):
+    assert_same(data, "pbm_p1")
+
+
+@pytest.mark.parametrize("variant", [None, *PBM_NEAR_CANONICAL])
+@pytest.mark.parametrize("text", ["P1\n2 3\n0 1\n1 0\n1 1\n", WIDE_PBM], ids=["3x2", "3x2000"])
+def test_only_near_canonical_pbm_reaches_the_line_parser(monkeypatch, text, variant):
+    """Canonical PBM P1 bytes, as any bytes-like object, never reach
+    `_parse_pbm_p1`; each near-canonical variant reaches it once."""
+    calls = []
+    name, parse = grid._FORMATS["pbm_p1"]
+    monkeypatch.setitem(grid._FORMATS, "pbm_p1", (name, lambda t: calls.append(t) or parse(t)))
+    if variant:
+        text = PBM_NEAR_CANONICAL[variant](text)
+    for wrap in BYTES_LIKE:
+        calls.clear()
+        assert_same(wrap(text.encode("ascii")), "pbm_p1")
+        assert len(calls) == (1 if variant else 0)
 
 
 @pytest.mark.parametrize(

@@ -349,7 +349,7 @@ def test_genus3d_builds_no_point_sets(tmp_path, capsys, monkeypatch):
     assert calls["extract_surface"] == calls["euler_genus_oracle"] == []
     # Rows 1..22 and columns 1..34 hold the foreground.
     assert [occupied.shape for occupied, in calls["_cubes_and_faces"]] == [(2, 22, 34)]
-    assert labeled == [(26, 38), (21, 33)]  # the image, then the map of its cubes
+    assert labeled == [(22, 34), (21, 33)]  # the foreground's box, then the map of its cubes
     assert decoded == []
 
 
