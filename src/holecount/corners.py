@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContourOverlapError, EmptyComponentError, OutOfBoundsError
 from .grid import BinaryGrid, DIRECT_OFFSETS, DIAGONAL_OFFSETS, Point2
-from .labeling import bounding_box, hole_regions, label_mask
+from .labeling import LabelMap, bounding_box, label_mask
 
 ISOLATED_OR_THIN_POINT = "isolated_or_thin_point"
 PATHOLOGICAL_WINDOW = "pathological_window"
@@ -48,12 +48,15 @@ class CornerCensus:
 
 @dataclass(frozen=True, eq=False)
 class CornerClassification:
-    """Census plus the per-point class map behind it. The map is built on
-    first read from the component's context."""
+    """Census plus the per-point class map and the degenerate points behind
+    it, both read from the component's context on first read."""
 
     census: CornerCensus
-    degenerate_points: tuple[Point2, ...]
     context: "ComponentContext" = field(repr=False)
+
+    @cached_property
+    def degenerate_points(self) -> tuple[Point2, ...]:
+        return tuple(self.context.thin_points)
 
     @cached_property
     def classes(self) -> dict[Point2, int]:
@@ -192,11 +195,12 @@ class ComponentContext:
     (two slices), whose first cell is at `origin`: a view would keep the
     image-sized mask it was cut from alive. `mask`, the crop grown by a
     background ring, is built on first read; a position in it plus `offset`
-    is the image position. `table` is the table of `labels`, a `LabelMap`
-    (`cid` is its row), set when the context is made, else the crop's own;
-    `direct` and `boundary` are cut from it at the crop. These, the
-    complement labeling and the contour table (`curve_row`) are computed on
-    first read and shared.
+    is the image position. The component is row `cid` of `labels`, a
+    `LabelMap`: its image's, or, for a `standalone` mask or point set, the
+    crop's own, read as one component, row 1. Its census, faults, contours
+    and hole count are read from that map's tables, and `direct` and
+    `boundary` are cut from the map's `table` at the crop. These and the
+    complement labeling are computed on first read and shared.
     """
 
     def __init__(self, crop: np.ndarray, origin: tuple[int, int], image, labels=None, cid=1):
@@ -205,9 +209,10 @@ class ComponentContext:
         self.origin = origin
         self.offset = (origin[0] - 1, origin[1] - 1)
         self.area = int(np.count_nonzero(self.crop))
+        self.standalone = labels is None
+        if labels is None:
+            labels = LabelMap(self.crop.view(np.uint8), 1, origin, tuple(s.stop for s in image))
         self.labels, self.cid = labels, cid
-        if labels is not None:  # a row of the image's table
-            self.table = labels.table
 
     @classmethod
     def of(cls, g: BinaryGrid | None, component) -> "ComponentContext":
@@ -253,41 +258,24 @@ class ComponentContext:
         return _ringed(self.crop)
 
     @cached_property
-    def table(self) -> ComponentTable:
-        """The crop's own table, read as one component."""
-        return ComponentTable(self.crop.view(np.uint8), 1, self.origin)
-
-    @cached_property
-    def curve_row(self):
-        """The `curves.CurveTable` of its `LabelMap` and its row there if it
-        is valid, else the table of the crop read as one component, row 1."""
-        if self.labels is not None and self.table.valid[self.cid]:
-            return self.labels.curves, self.cid
-        from .curves import CurveTable  # curves imports this module
-
-        crop = self.crop.view(np.uint8)
-        table = self.table if self.labels is None else ComponentTable(crop, 1, self.origin)
-        return CurveTable(crop, 1, table, hole_regions(crop, 1), self.origin), 1
-
-    @cached_property
     def window(self) -> tuple[slice, slice]:
-        """The crop's cells in the arrays of `table`."""
-        return _image(self.crop.shape, np.subtract(self.origin, self.table.offset))
+        """The crop's cells in the arrays of its map's table."""
+        return _image(self.crop.shape, np.subtract(self.origin, self.labels.origin))
 
     @cached_property
     def direct(self) -> np.ndarray:
         """Each cell's direct neighbors in its own component; read at this one's cells."""
-        return self.table.direct[self.window]
+        return self.labels.table.direct[self.window]
 
     @cached_property
     def boundary(self) -> np.ndarray:
         # Other components may lie in the box: only its own cells count.
-        return self.table.boundary[self.window] & self.crop
+        return self.labels.table.boundary[self.window] & self.crop
 
     @property
     def thin_points(self) -> list[Point2]:
         """Boundary points with fewer than 2 direct neighbors, row-major."""
-        return [p for kind, p in self.table.faults(self.cid) if kind == ISOLATED_OR_THIN_POINT]
+        return [p for kind, p in self.labels.table.faults(self.cid) if kind == ISOLATED_OR_THIN_POINT]
 
     @cached_property
     def complement(self) -> tuple[np.ndarray, int]:
@@ -296,7 +284,7 @@ class ComponentContext:
 
     @cached_property
     def census(self) -> CornerCensus:
-        return self.table.census(self.cid)
+        return self.labels.table.census(self.cid)
 
     def positions(self, cells: np.ndarray) -> list[Point2]:
         """Image positions of the True cells of a `mask`-shaped array, row-major."""
@@ -326,9 +314,7 @@ def classify_corners(g: BinaryGrid, component) -> CornerClassification:
     ctx = ComponentContext.of(g, component)
     if not ctx.area:
         raise EmptyComponentError("census of an empty component")
-    return CornerClassification(
-        census=ctx.table.census(ctx.cid), degenerate_points=tuple(ctx.thin_points), context=ctx
-    )
+    return CornerClassification(census=ctx.labels.table.census(ctx.cid), context=ctx)
 
 
 def find_pathological(g: BinaryGrid, component) -> PathologyReport:
@@ -340,7 +326,7 @@ def find_pathological(g: BinaryGrid, component) -> PathologyReport:
     box grown by one cell and clipped to the image.
     """
     ctx = ComponentContext.of(g, component)
-    faults = ctx.table.faults(ctx.cid)
+    faults = ctx.labels.table.faults(ctx.cid)
     windows = tuple(p for kind, p in faults if kind == PATHOLOGICAL_WINDOW)
     # Windows reaching outside the image hold a background pair, so they
     # never hit; they are only left out of the count.
@@ -363,9 +349,9 @@ def validate_component(g: BinaryGrid, component) -> ValidityReport:
     boundary, and an empty one cannot be traced.
     """
     ctx = ComponentContext.of(g, component)
-    reasons = ctx.table.faults(ctx.cid)
-    overlap = ctx.table.overlaps[ctx.cid]
-    if not reasons and (overlap or ctx.labels is None and label_mask(ctx.crop)[1] != 1):
+    table = ctx.labels.table
+    reasons = table.faults(ctx.cid)
+    if not reasons and (table.overlaps[ctx.cid] or ctx.standalone and label_mask(ctx.crop)[1] != 1):
         from .curves import trace_contours
 
         try:

@@ -114,14 +114,17 @@ class CurveTable:
     they fail. `points` holds every contour's cells in order, at `labels`'
     positions plus `offset`: row `cid` has contours `rows[cid]` to
     `rows[cid + 1]`, the outer one first, and contour i the points
-    `begin[i]` to `begin[i + 1]`. `table` is the `corners.ComponentTable`
-    whose boundary and classes they are read from.
+    `begin[i]` to `begin[i + 1]`. A row with a thin point is not walked:
+    it is not `ok`, and its contours have no points. `table` is the
+    `corners.ComponentTable` whose boundary and classes they are read from.
     """
 
     def __init__(self, labels: np.ndarray, n: int, table, regions, offset=(0, 0)):
         width = labels.shape[1]
         self.table = table
-        cells = np.flatnonzero(table.boundary)  # boundary cells, numbered row-major
+        thin = table.classes[:, :2].any(axis=1)  # rows with a class 0 or 1 cell, which get no walk
+        cells = np.flatnonzero(table.boundary)
+        cells = cells[~thin[labels.ravel()[cells]]]  # the other rows' boundary cells, numbered row-major
         count, sink = cells.size, 4 * cells.size  # a state is 4 * cell + heading
         fg = _ringed(labels != 0).ravel()
         ringed = cells + 2 * (cells // width) + width + 3
@@ -144,11 +147,12 @@ class CurveTable:
         holes, firsts = regions
         per = 1 + holes[1:]  # contours per component
         self.rows = np.cumsum(np.r_[0, 0, per]).tolist()
+        label = np.repeat(np.arange(n + 1), np.r_[0, per])
         outer = np.zeros(per.sum(), dtype=bool)
         outer[self.rows[1:-1]] = True
-        head = np.empty(outer.size, dtype=np.intp)
+        head = np.full(outer.size, count)  # a row with no walk starts at no cell
         # Labels number components by first cell, a boundary cell.
-        head[outer] = np.flatnonzero(np.diff(np.maximum.accumulate(own), prepend=0))
+        head[outer & ~thin[label]] = np.flatnonzero(np.diff(np.maximum.accumulate(own), prepend=0))
         head[~outer] = number[firsts @ (width + 2, 1) + 1]  # the cell above, in the ringed array
         ends = np.zeros(count + 1, dtype=bool)
         ends[head] = ends[count] = True
@@ -160,7 +164,7 @@ class CurveTable:
         # `jumps[j]`, which takes 2^j steps, is kept from the second round on.
         # A walk longer than the states cycles, so it stops.
         end, length = 4 * head + np.where(outer, 1, 3), np.zeros(outer.size, dtype=np.intp)
-        live, walked = np.arange(outer.size), [[np.zeros(0, dtype=np.intp)] * 3]  # none on an empty image
+        live, walked = np.flatnonzero(head < count), [[np.zeros(0, dtype=np.intp)] * 3]  # none on an empty image
         jumps = [np.where(ends, np.arange(sink + 1, dtype=np.int32), succ)]
         while live.size:
             after, rounds = succ[end[live]], len(walked)
@@ -191,9 +195,8 @@ class CurveTable:
         closed = end >> 2 == head
 
         visits = np.bincount(path, minlength=count)
-        label = np.repeat(np.arange(n + 1), np.r_[0, per])
         faults = np.bincount(own[visits != 1], minlength=n + 1)
-        self.ok = faults + np.bincount(label[~closed], minlength=n + 1) == 0
+        self.ok = (faults + np.bincount(label[~closed], minlength=n + 1) == 0) & ~thin
         missed = visits == 0
         self._missed = own[missed], np.stack(divmod(cells[missed], width), axis=1) + offset
         classes = table.direct.ravel()[cells[path]]
@@ -252,15 +255,17 @@ def _enclosed(ctx: ComponentContext, path: np.ndarray, region: int) -> frozenset
 
 
 def _traced(ctx: ComponentContext) -> tuple[CurveTable, int]:
-    """The context's contour table and row, once its contours are known to
-    partition its boundary. Otherwise the row names the point where they
-    fail (`CurveTable.fault`); a row that names none disagrees with its own
-    check, and the error names the component's first cell."""
+    """The contour table of the context's `LabelMap` and its row, once the
+    row's contours are known to partition its boundary; a thin point is
+    refused first, since its row has no walks. Otherwise the row names the
+    point where they fail (`CurveTable.fault`); a row that names none
+    disagrees with its own check, and the error names the component's
+    first cell."""
     if not ctx.area:
         raise EmptyComponentError("cannot trace an empty component")
     if ctx.thin_points:
         raise ThinComponentError(ctx.thin_points[0])
-    curves, cid = ctx.curve_row
+    curves, cid = ctx.labels.curves, ctx.cid
     if curves.ok[cid]:
         return curves, cid
     point = curves.fault(cid)
@@ -277,7 +282,7 @@ def trace_contours(g: BinaryGrid, component) -> tuple[Contour, ...]:
     neighbors, and ContourOverlapError at the point where the contours fail
     to partition the boundary point set: the first point walked twice, else
     the first boundary point no walk visits. The contours, and that point,
-    are a row of the context's `CurveTable`.
+    are a row of the `CurveTable` of the context's `LabelMap`.
     """
     ctx = ComponentContext.of(g, component)
     curves, cid = _traced(ctx)

@@ -277,17 +277,16 @@ def holes_in_mask(mask) -> int:
     one background ring, the complement is 4-connected-labeled, and every
     region other than the unbounded one counts as a hole. The mask may be
     any 2D array-like of truth values, or a `corners.ComponentContext`. A
-    context of a `LabelMap` reads its row of the map's `hole_counts`, from
-    the mosaic (`hole_regions`) that counts the same regions, and builds
-    nothing; any other context labels its complement.
+    context reads its row of its `LabelMap`'s `hole_counts`, from the mosaic
+    (`hole_regions`) that counts the same regions; an array labels its
+    complement, the reference the mosaic is tested against.
     """
     labels = getattr(mask, "labels", None)
     if isinstance(labels, LabelMap):
         return labels.hole_counts[mask.cid]
     from .corners import ComponentContext  # corners imports this module
 
-    ctx = mask if isinstance(mask, ComponentContext) else ComponentContext.of(None, np.asarray(mask, dtype=bool))
-    return ctx.complement[1] - 1
+    return ComponentContext.of(None, np.asarray(mask, dtype=bool)).complement[1] - 1
 
 
 def count_holes_oracle(g: BinaryGrid, component_id: int, labels: LabelMap | None = None) -> int:

@@ -471,6 +471,40 @@ def test_curves_stops_before_the_contour_table(tmp_path, capsys, monkeypatch):
     assert regions == [] and built == []
 
 
+@pytest.mark.parametrize("command", ["analyze", "curves", "genus3d"])
+def test_an_overlap_is_explained_from_the_image_tables(tmp_path, capsys, monkeypatch, command):
+    """A ring with 1-cell walls, where the contours meet, is explained from
+    the image's own tables: one neighbour count and one diagonal scan, and
+    none over a crop of the ring."""
+    path = write_grid(tmp_path, hc.grid_from_rows(["1111", "1001", "1111"]))
+    counted = count_calls(monkeypatch, corners, "neighbor_counts")
+    paired = count_calls(monkeypatch, corners, "diagonal_pairs")
+    code = cli.main([command, path])
+    out, err = capsys.readouterr()
+    if command == "analyze":
+        assert code == cli.EXIT_OK and '"valid": false' in out
+    else:
+        assert (code, err) == (cli.EXIT_INPUT, "component 1 invalid: contour_overlap at (0, 1)\n")
+    assert [mask.shape for mask, in counted + paired] == [(3, 4)] * 2
+
+
+@pytest.mark.parametrize("k", [1, 40])
+def test_overlap_rows_share_one_contour_table(monkeypatch, k):
+    """`analyze` on k rings with 1-cell walls reads every overlap from one
+    `CurveTable` over the image, built on its one `ComponentTable` and one
+    mosaic of hole regions, whatever k."""
+    arr = np.zeros((5, 4 * k + 1), dtype=bool)
+    for i in range(k):
+        arr[1:4, 1 + 4 * i : 4 + 4 * i] = True
+        arr[2, 2 + 4 * i] = False
+    tables = count_calls(monkeypatch, corners, "ComponentTable")
+    regions = count_calls(monkeypatch, labeling, "hole_regions")
+    built = count_calls(monkeypatch, curves, "CurveTable")
+    reports = hc.analyze_image(hc.BinaryGrid(arr))
+    assert [rep.validity.reasons for rep in reports] == [((CONTOUR_OVERLAP, (1, 2 + 4 * i)),) for i in range(k)]
+    assert len(tables) == len(regions) == len(built) == 1
+
+
 def count_method_calls(monkeypatch, cls, name):
     """Arguments of every call of the method `cls.name`, less the instance."""
     calls, real = [], getattr(cls, name)
@@ -530,15 +564,17 @@ DOMINOES = hc.grid_from_rows(["0" * 16, "0" + "110" * 5, "0" * 16])
 def test_thin_points_are_decoded_once(monkeypatch):
     """The thin points and pathological windows of every component come
     from the image's table, sorted by label once: no component decodes its
-    own."""
+    own, and `analyze` reads each row's faults once, in its validity check."""
     k, g = 5, DOMINOES
     decoded = count_calls(monkeypatch, corners, "_positions")
+    faults = count_method_calls(monkeypatch, corners.ComponentTable, "faults")
     reports = hc.analyze_image(g)
     assert [rep.validity.reasons for rep in reports] == [
         ((ISOLATED_OR_THIN_POINT, (1, 3 * i + 1)), (ISOLATED_OR_THIN_POINT, (1, 3 * i + 2)))
         for i in range(k)
     ]
     assert len(decoded) == 0
+    assert faults == [(cid,) for cid in range(1, k + 1)]
 
 
 def owner(a):
@@ -704,7 +740,8 @@ def mosaics(draw):
 @example(hc.grid_from_rows(["0011110", "0111010", "0101110", "0111100"]))
 def test_contour_table_matches_the_walk(g):
     """The contour table's row of each component with no thin point is
-    `_walk`'s walks, point for point, invalid components included. A row
+    `_walk`'s walks, point for point, invalid components included; a row
+    with a thin point has empty contours and is not `ok`. A row
     is flagged exactly where those walks fail to partition the boundary,
     and then names the same point as the trace; otherwise it has the
     trace's per-contour classes. The mosaic counts every component's holes
@@ -717,9 +754,10 @@ def test_contour_table_matches_the_walk(g):
         assert holes[cid] == labeling.holes_in_mask(mask)
         direct, full = ref_counts(mask)
         bnd = mask & (full < 8)
-        if (direct[bnd] < 2).any():
-            continue  # refused before the table is read
         table = labels.curves
+        if (direct[bnd] < 2).any():  # refused before the table is read, so not walked
+            assert not table.ok[cid] and all(not len(pts) for _, pts in table.contours(cid))
+            continue
         assert [(kind, list(map(tuple, pts.tolist()))) for kind, pts in table.contours(cid)] == [
             (kind, pts) for kind, pts, _ in ref_walks(mask)[0]
         ]
