@@ -165,7 +165,7 @@ class LabelMap:
         """Doubled-surface census of every component, a `solid3d.SurfaceTable`."""
         from .solid3d import SurfaceTable  # solid3d imports this module
 
-        return SurfaceTable(self.box, self.component_count)
+        return SurfaceTable(self.box, self.component_count, self.table.boundary)
 
     def points_of(self, component_id: int) -> frozenset[Point2]:
         return frozenset(map(tuple, np.argwhere(self.mask_of(component_id)).tolist()))

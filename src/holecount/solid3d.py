@@ -21,15 +21,15 @@ of the two cubes along its normal is solid (an XOR); an edge's face count
 is the sum of its 4 neighboring face slices and a vertex's class the sum
 of its 6 neighboring edge slices. On one solid's surface, the full
 lattice is assembled only as the input of the one labeling of surface
-components; `SurfaceTable` runs the same array code once for every
-component of a label image and labels no lattice. The tuple sets of the
-public attributes are decoded from the arrays only when read.
+components; `SurfaceTable` credits every component of a label image from
+a table of each pixel's credit by its 3 x 3 code, built by this array code
+on first use. Tuple sets of public attributes are decoded only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -287,49 +287,61 @@ def _component_chis(sc: SurfaceComplex, labels: np.ndarray, n: int) -> list[int]
 
 class SurfaceTable:
     """Surface census and Euler characteristic of every component's doubled
-    solid, from one doubling of a label image's foreground (a `LabelMap`'s
-    box), whose surface is found as `extract_surface` finds it. Row `cid`
-    of `points` counts its points by class, 1..6 on the surface; of
-    `genus`, (2 - (V - E + F)) / 2.
+    solid, whose surface is found as `extract_surface` finds it, read at the
+    boundary cells of a `LabelMap`'s box `labels` (`ComponentTable.boundary`).
+    Row `cid` of `points` counts its points by class, 1..6 on the surface;
+    of `genus`, (2 - (V - E + F)) / 2.
 
-    Each surface cell is credited to the label of its minimum corner's
-    pixel. Two components' solids share no lattice point, which would be one
-    pixel with two labels, so each cell lies on one component's surface,
-    with the same counts there as on that surface alone. Row `cid` is
-    `clean` when that surface passes every check of `extract_surface`,
-    `classify_surface_points` and `euler_genus_oracle`: it has a cube, every
-    surface edge lies in 2 surface faces, every point has 3 or more surface
-    neighbors, and it is one piece. The surface of R x [1, 2] is connected
-    iff R, the union of the cubes seen from above, is; one labeling of the
-    cubes counts its pieces. It is 4-connected: cubes that meet only at a
-    corner share a vertical edge of 4 faces, which is not clean anyway.
+    Each surface cell is credited to its minimum corner's pixel p. It lies
+    in the cubes at p + {-1, 0}^2, so p's 3 x 3 foreground code decides it
+    (`_pixel_table`), and those cubes hold only p's label: two components'
+    solids share no lattice point. A pixel off the boundary has code 511, a
+    class-4 point on each layer and V - E + F = 0; a label has its area less
+    its boundary count of them, and its area is summed at the boundary, where
+    each of its runs along a row starts and ends. Row `cid` is `clean` when
+    its surface has a cube, every surface edge in 2 faces, every point with
+    3 or more surface neighbors, and one piece: when it passes every check of
+    `extract_surface`, `classify_surface_points` and `euler_genus_oracle`.
+    The surface of R x [1, 2] is connected iff R, the union of the cubes seen
+    from above, is, so one 4-connected labeling of the cubes counts pieces:
+    cubes that meet only at a corner share an edge of 4 faces, not clean.
     """
 
-    def __init__(self, labels: np.ndarray, n: int):
-        cubes, faces = _cubes_and_faces(np.repeat((labels != 0)[None], 2, axis=0))
-        degree, edge_cells, vertex_class = _edges_and_points(faces)
-        # Per pixel, over the cells whose minimum corner it is: V - E + F,
-        # and whether an edge lies in other than 0 or 2 faces.
-        chi, bad = np.zeros(labels.shape, dtype=np.int8), np.zeros(labels.shape, dtype=bool)
-        for cells, add in [([vertex_class > 0], np.add), (faces, np.add), (edge_cells, np.subtract)]:
-            for c in cells:
-                at = chi[: c.shape[1], : c.shape[2]]
-                for layer in c.view(np.int8):
-                    add(at, layer, out=at)
-        for d in degree:
-            at = bad[: d.shape[1], : d.shape[2]]
-            at |= (d & ~2).any(axis=0)
-        # Per label, the pixels of each code: a point's class on either layer
-        # (0..6), and V - E + F + 5 (0..11).
-        key, out = np.multiply(labels, 16, dtype=np.intp), np.empty(labels.shape, dtype=np.intp)
-        tally = [np.bincount(np.add(key, c, out=out).ravel(), minlength=16 * (n + 1)) for c in (*vertex_class, chi + 5)]
-        self.points = (tally[0] + tally[1]).reshape(n + 1, 16)[:, :7]
-        self.genus = (2 - tally[2].reshape(n + 1, 16) @ np.arange(-5, 11)) // 2
-        pieces, count = label_mask(cubes[0])
+    def __init__(self, labels: np.ndarray, n: int, boundary: np.ndarray):
+        w, fg, at = labels.shape[1], np.pad(labels != 0, 1), np.flatnonzero(boundary)
+        rows, cols = divmod(at, w)
+        near = (w + 2) * np.arange(3)[:, None] + np.arange(3)  # bit 3 * i + j, i - 1 rows and j - 1 columns away
+        code = (1 << np.arange(9)) @ fg.ravel()[near.reshape(9, 1) + (at + 2 * rows)]
+        (credits, kind), own = _pixel_table(), labels.ravel()[at].astype(np.intp)
+        tally = np.bincount(own * len(credits) + kind[code], minlength=(n + 1) * len(credits)).reshape(n + 1, -1)
+        self.points = tally @ np.eye(7, dtype=np.intp)[credits[:, :2]].sum(axis=1)
+        # A run starts where bit 3, the cell on the left, is 0 and ends where bit 5, on the right, is.
+        interior = np.bincount(own, (~code >> 5 & 1) * (cols + 1) - (~code >> 3 & 1) * cols - 1, n + 1)
+        self.points[:, 4] += 2 * interior.astype(np.intp)
+        self.genus = (2 - tally @ credits[:, 2]) // 2
+        pieces, count = label_mask(fg[1:-2, 1:-2] & fg[2:-1, 1:-2] & fg[1:-2, 2:-1] & fg[2:-1, 2:-1])
         owner = np.zeros(count + 1, dtype=labels.dtype)
         owner[pieces] = labels[:-1, :-1]
         self.clean = np.bincount(owner[1:], minlength=n + 1) == 1
-        self.clean &= ~self.points[:, 1:3].any(axis=1) & (np.bincount(labels[bad], minlength=n + 1) == 0)
+        self.clean &= ~self.points[:, 1:3].any(axis=1) & (tally @ credits[:, 3] == 0)
+
+
+@cache
+def _pixel_table() -> tuple[np.ndarray, np.ndarray]:
+    """The distinct credits of a pixel, one per row, and each 3 x 3 foreground
+    code's row (bit 3 * i + j: the pixel i - 1 rows and j - 1 columns away):
+    its point's class on each layer, the V - E + F of the cells whose minimum
+    corner it is, and 1 if one is an edge in other than 0 or 2 faces. Built
+    on first use by the array code above, on a doubled strip of 5 x 5 tiles."""
+    tiles = np.pad((np.arange(512)[:, None] >> np.arange(9) & 1).reshape(512, 3, 3), ((0, 0), (1, 1), (1, 1))) != 0
+    _, faces = _cubes_and_faces(np.repeat(tiles.transpose(1, 0, 2).reshape(1, 5, 2560), 2, axis=0))
+    degree, edge_cells, vertex_class = _edges_and_points(faces)
+    at = (slice(None), 2, slice(2, None, 5))  # each tile's centre, on every layer
+    chi = sum(c[at].sum(axis=0) for c in (vertex_class > 0, *faces)) - sum(e[at].sum(axis=0) for e in edge_cells)
+    bad = np.any([(d[at] & ~2).any(axis=0) for d in degree], axis=0)
+    credits, kind = np.unique(np.column_stack([*vertex_class[at], chi, bad]), axis=0, return_inverse=True)
+    credits.flags.writeable = kind.flags.writeable = False
+    return credits, kind.reshape(512)  # 1-D under every numpy
 
 
 def export_obj(sc: SurfaceComplex) -> str:

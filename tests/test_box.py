@@ -157,7 +157,7 @@ def test_a_box_map_is_the_map_of_the_whole_label_image(cells, target):
         assert np.array_equal(getattr(boxed.table, name), getattr(whole.table, name)), name
     for name in ("ok", "points", "begin", "rows"):
         assert np.array_equal(getattr(boxed.curves, name), getattr(whole.curves, name)), name
-    for name in ("points", "genus", "clean"):  # row 0, of no component, counts the cells of no label
+    for name in ("points", "genus", "clean"):  # row 0 is of no component
         assert np.array_equal(getattr(boxed.surface, name)[1:], getattr(whole.surface, name)[1:]), name
 
 
@@ -179,7 +179,8 @@ def calls_of(monkeypatch, module, name):
 def test_the_tables_see_only_the_box(path, monkeypatch):
     """On a 6 x 22 row of three rings in a 200 x 300 image, every request
     counts neighbours over the box, labels the box (then the mosaic, or the
-    map of cubes), doubles the box, and pastes no image-sized label array."""
+    map of cubes), doubles nothing (the surface comes from the 3 x 3 table,
+    built once per process) and pastes no image-sized label array."""
     cells = np.zeros((200, 300), dtype=bool)
     ring = np.array([list(map(int, row)) for row in RING], dtype=bool)
     for k in range(3):
@@ -188,6 +189,7 @@ def test_the_tables_see_only_the_box(path, monkeypatch):
     path.write_text(hc.to_ascii01(hc.BinaryGrid(cells)))
     counted = calls_of(monkeypatch, corners, "neighbor_counts")
     labeled = calls_of(monkeypatch, labeling, "label_mask")
+    solid3d._pixel_table()  # built on first use, by one doubled strip of the 512 codes
     doubled = calls_of(monkeypatch, solid3d, "_cubes_and_faces")
     pasted = []
     monkeypatch.setattr(LabelMap, "labels", property(lambda self: pasted.append(self)))
@@ -198,6 +200,6 @@ def test_the_tables_see_only_the_box(path, monkeypatch):
         assert len(labeled) == 2 and labeled[0] == box, argv
         if argv == ["genus3d"]:
             assert labeled[1] == (5, 21)  # the box's map of 2 x 2 blocks
-        assert doubled == ([(2, *box)] if argv == ["genus3d"] else []), argv
+        assert doubled == [], argv
         del counted[:], labeled[:], doubled[:]
     assert pasted == []

@@ -321,9 +321,10 @@ def test_error_texts_name_the_first_cell_in_xyz_lattice_order(kind, thin):
 
 
 def test_genus3d_builds_no_point_sets(tmp_path, capsys, monkeypatch):
-    """`genus3d` on an image of valid components doubles the foreground's
-    bounding box once, labels no 3D lattice, extracts no surface of a
-    component of its own and decodes no tuple set of a solid or a surface."""
+    """`genus3d` on an image of valid components doubles nothing (every row
+    comes from the 3 x 3 table, built once per process), labels no 3D
+    lattice, extracts no surface of a component of its own and decodes no
+    tuple set of a solid or a surface."""
     cells = np.zeros((26, 38), dtype=bool)
     for i in range(2):
         for j in range(3):
@@ -332,6 +333,7 @@ def test_genus3d_builds_no_point_sets(tmp_path, capsys, monkeypatch):
     path = tmp_path / "tile.txt"
     path.write_text(hc.to_ascii01(hc.BinaryGrid(cells)))
 
+    solid3d._pixel_table()  # built on first use, by one doubled strip of the 512 codes
     calls = {name: [] for name in ("extract_surface", "euler_genus_oracle", "_cubes_and_faces")}
     for name, seen in calls.items():
         original = getattr(solid3d, name)
@@ -346,9 +348,8 @@ def test_genus3d_builds_no_point_sets(tmp_path, capsys, monkeypatch):
     assert cli.main(["genus3d", str(path)]) == cli.EXIT_OK
     entries = json.loads(capsys.readouterr().out)
     assert [e["genus_formula"] for e in entries] == [(i + j) % 3 for i in range(2) for j in range(3)]
-    assert calls["extract_surface"] == calls["euler_genus_oracle"] == []
+    assert calls["extract_surface"] == calls["euler_genus_oracle"] == calls["_cubes_and_faces"] == []
     # Rows 1..22 and columns 1..34 hold the foreground.
-    assert [occupied.shape for occupied, in calls["_cubes_and_faces"]] == [(2, 22, 34)]
     assert labeled == [(22, 34), (21, 33)]  # the foreground's box, then the map of its cubes
     assert decoded == []
 

@@ -1,11 +1,19 @@
 """The image's doubled-surface table against each component's own surface.
 
-`LabelMap.surface` doubles the foreground of a label image once and credits
-every surface cell to a component. Each clean row must equal what
-`double_component` -> `extract_surface` -> `classify_surface_points` ->
-`euler_genus_oracle` gives on that component alone, and a row is flagged
-exactly when that chain raises.
+`LabelMap.surface` reads every boundary cell's credit from the 3 x 3 table
+and credits every surface cell to a component. Each clean row must equal
+what `double_component` -> `extract_surface` -> `classify_surface_points`
+-> `euler_genus_oracle` gives on that component alone, and a row is flagged
+exactly when that chain raises. Every column must equal the table built by
+doubling the whole foreground (`doubled_table`, the package's earlier
+`SurfaceTable`), and the 3 x 3 table must be the 3D array code's own.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -14,7 +22,50 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 import holecount as hc
+from holecount import solid3d
 from holecount.errors import HolecountError
+from holecount.labeling import label_mask
+
+
+def doubled_table(labels, n):
+    """(points, genus, clean) of every label of a label image, from one
+    doubling of its foreground into 3D arrays: each surface cell is
+    credited to the label of its minimum corner's pixel, and one labelling
+    of the cubes counts each label's surface pieces."""
+    cubes, faces = solid3d._cubes_and_faces(np.repeat((labels != 0)[None], 2, axis=0))
+    degree, edge_cells, vertex_class = solid3d._edges_and_points(faces)
+    # Per pixel, over the cells whose minimum corner it is: V - E + F,
+    # and whether an edge lies in other than 0 or 2 faces.
+    chi, bad = np.zeros(labels.shape, dtype=np.int8), np.zeros(labels.shape, dtype=bool)
+    for cells, add in [([vertex_class > 0], np.add), (faces, np.add), (edge_cells, np.subtract)]:
+        for c in cells:
+            at = chi[: c.shape[1], : c.shape[2]]
+            for layer in c.view(np.int8):
+                add(at, layer, out=at)
+    for d in degree:
+        at = bad[: d.shape[1], : d.shape[2]]
+        at |= (d & ~2).any(axis=0)
+    # Per label, the pixels of each code: a point's class on either layer
+    # (0..6), and V - E + F + 5 (0..11).
+    key, out = np.multiply(labels, 16, dtype=np.intp), np.empty(labels.shape, dtype=np.intp)
+    tally = [np.bincount(np.add(key, c, out=out).ravel(), minlength=16 * (n + 1)) for c in (*vertex_class, chi + 5)]
+    points = (tally[0] + tally[1]).reshape(n + 1, 16)[:, :7]
+    genus = (2 - tally[2].reshape(n + 1, 16) @ np.arange(-5, 11)) // 2
+    pieces, count = label_mask(cubes[0])
+    owner = np.zeros(count + 1, dtype=labels.dtype)
+    owner[pieces] = labels[:-1, :-1]
+    clean = np.bincount(owner[1:], minlength=n + 1) == 1
+    clean &= ~points[:, 1:3].any(axis=1) & (np.bincount(labels[bad], minlength=n + 1) == 0)
+    return points, genus, clean
+
+
+def assert_doubled_table(g):
+    """Every column of `g`'s surface table equals `doubled_table`'s, rows
+    1..n (row 0 is of no component)."""
+    labels = hc.label_components(g)
+    table = labels.surface
+    for name, column in zip(("points", "genus", "clean"), doubled_table(labels.box, labels.component_count)):
+        assert np.array_equal(getattr(table, name)[1:], column[1:]), name
 
 
 def alone(g, mask):
@@ -96,3 +147,73 @@ def test_clean_rows_match_each_component_alone(g):
     for cid in range(1, labels.component_count + 1):
         row = (hc.SurfaceCensus(*table.points[cid, 3:].tolist()), int(table.genus[cid])) if table.clean[cid] else None
         assert row == alone(g, labels.mask_of(cid))
+
+
+@settings(max_examples=400, deadline=None)
+@given(label_images())
+@example(hc.grid_from_rows(NESTED))
+@example(hc.grid_from_rows(["1"]))
+def test_table_matches_the_doubled_box(g):
+    assert_doubled_table(g)
+
+
+def test_every_4x4_image_matches_the_doubled_box():
+    """All 65,536 4 x 4 images in one label image, one background row and
+    column between tiles: every row of the 3 x 3 table is the doubled box's."""
+    tiles = np.zeros((256, 256, 5, 5), dtype=bool)
+    tiles[:, :, :4, :4] = (np.arange(65536)[:, None] >> np.arange(16) & 1).reshape(256, 256, 4, 4)
+    assert_doubled_table(hc.BinaryGrid(tiles.transpose(0, 2, 1, 3).reshape(1280, 1280)))
+
+
+def test_pixel_table_is_the_constructions_own():
+    """Each code's row is what the 3D array code gives on that 3 x 3
+    pattern alone, padded by background: its centre's point classes on
+    both layers, the V - E + F of the cells whose minimum corner it is,
+    and whether one of them is an edge in other than 0 or 2 faces."""
+    credits, kind = solid3d._pixel_table()
+    table = credits[kind]
+    assert table.shape == (512, 4)
+    for code in range(512):
+        pattern = np.zeros((5, 5), dtype=bool)
+        pattern[1:4, 1:4] = (code >> np.arange(9) & 1).reshape(3, 3)
+        _, faces = solid3d._cubes_and_faces(np.repeat(pattern[None], 2, axis=0))
+        degree, edge_cells, vertex_class = solid3d._edges_and_points(faces)
+        centre = (slice(None), 2, 2)
+        chi = np.count_nonzero(vertex_class[centre]) + sum(np.count_nonzero(f[centre]) for f in faces)
+        chi -= sum(np.count_nonzero(e[centre]) for e in edge_cells)
+        bad = any(((d[centre] != 0) & (d[centre] != 2)).any() for d in degree)
+        assert table[code].tolist() == [*vertex_class[centre].tolist(), chi, bad], code
+    assert table[511].tolist() == [4, 4, 0, 0]  # an interior cell
+    assert not table[(np.arange(512) >> 4 & 1) == 0].any()  # a background centre credits nothing
+
+
+def test_the_pixel_table_is_built_on_first_use(tmp_path):
+    """`import holecount.cli` builds no table, so start-up does not pay for
+    it; the first `genus3d` request builds it with one run of the 3D array
+    code, on the strip of 512 tiles, and later requests reuse it."""
+    path = tmp_path / "square.txt"
+    path.write_text("0000\n0110\n0110\n0000\n")
+    script = """
+import contextlib, io, json, sys
+doubled = []
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "_cubes_and_faces":
+        doubled.append(frame.f_locals["occupied"].shape)
+sys.setprofile(profile)
+import holecount.cli
+from holecount import solid3d
+seen = [(list(doubled), solid3d._pixel_table.cache_info().currsize)]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = holecount.cli.main(["genus3d", sys.argv[1]])
+    seen.append((code, list(doubled), solid3d._pixel_table.cache_info().currsize))
+sys.setprofile(None)
+print(json.dumps(seen))
+"""
+    src = str(Path(hc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", script, str(path)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    strip = [2, 5, 2560]
+    assert json.loads(done.stdout) == [[[], 0], [0, [strip], 1], [0, [strip], 1]]
