@@ -112,23 +112,32 @@ def neighbor_counts(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return direct, full
 
 
-# The 8-ring of a cell in circular order.
+# The 8-ring of a cell in circular order; per 3 x 3 code (bit 3 * dr + dc + 4:
+# the cell dr rows and dc columns away), its ring and its runs of set cells.
 _RING = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
+_AROUND = np.arange(512)[:, None] >> np.array([3 * dr + dc + 4 for dr, dc in _RING]) & 1
+_RING_RUNS = np.count_nonzero(_AROUND > np.roll(_AROUND, -1, axis=1), axis=1)
 
 
 class ComponentTable:
-    """Corner census and validity of every component of a label image.
+    """Corner census and validity of every component of a label image, and
+    each boundary cell's 3 x 3 code, which the other tables read.
 
     `labels` numbers the components 1..n so that 4-adjacent foreground cells
     share a label; a set read as one component is all label 1. `direct` and
-    `boundary` come from the foreground's `neighbor_counts`: foreground
-    direct neighbors carry a cell's own label, and so do 8 foreground
-    neighbors. Only boundary cells read labels, in their 8-ring: 2 or more
-    runs of other labels around it are an overlap, where two contours would
+    `boundary` come from the foreground's `neighbor_counts`. Each boundary
+    cell (`cells`, row-major positions in `labels`, in rows `rows`, of
+    labels `own`) reads its 8-ring once: `code` sets bit 3 * dr + dc + 4
+    when the cell dr rows and dc columns away has its label, and bit 4; its
+    bits 1, 5, 7 and 3 (N, E, S and W) are the foreground's. 2 or more runs
+    of its label around the ring are an overlap, where two contours would
     meet (a crossing number: Yokoi et al., CGIP 1975). A diagonal pair of
     one label is a pathological window. With no thin point and no window a
     component is well-composed (Latecki et al., CVIU 1995); `valid` adds no
-    overlap. Positions are `labels`' plus `offset`.
+    overlap. `low` and `high` hold each label's first and last row and
+    column, rows 1..n, and `area` its cell count, summed where its runs
+    along a row start (bit 3 clear) and end (bit 5 clear). Fault positions
+    are `labels`' plus `offset`.
     """
 
     def __init__(self, labels: np.ndarray, n: int, offset: tuple[int, int] = (0, 0)):
@@ -144,11 +153,20 @@ class ComponentTable:
         own = flat[at].astype(np.intp)
         # Per row and column step, whether the ring cell is in the image; off it, reads are clipped.
         fits = {-1: (rows > 0, cols > 0), 0: (True, True), 1: (rows < height - 1, cols < width - 1)}
-        ring = [flat.take(at + dr * width + dc, mode="clip") == own for dr, dc in _RING]
-        inside = np.stack([r & fits[dr][0] & fits[dc][1] for r, (dr, dc) in zip(ring, _RING)])
+        code = np.full(at.size, 1 << 4, dtype=np.uint16)
+        for dr, dc in _RING:
+            same = flat.take(at + dr * width + dc, mode="clip") == own
+            same &= fits[dr][0] & fits[dc][1]
+            code |= np.left_shift(same, 3 * dr + dc + 4, dtype=np.uint16)
+        self.cells, self.rows, self.own, self.code = at, rows, own, code
         self.classes = np.bincount(own * 5 + k, minlength=5 * (n + 1)).reshape(n + 1, 5)
-        runs = np.count_nonzero(inside & ~np.roll(inside, -1, axis=0), axis=0)
-        self.overlaps = np.bincount(own[runs >= 2], minlength=n + 1) > 0
+        self.overlaps = np.bincount(own[_RING_RUNS[code] >= 2], minlength=n + 1) > 0
+        self.area = np.bincount(own, (~code >> 5 & 1) * (cols + 1) - (~code >> 3 & 1) * cols, n + 1).astype(np.intp)
+        low, high = np.full((2, n + 1), labels.size), np.zeros((2, n + 1), dtype=np.intp)
+        for axis, line in enumerate((rows, cols)):
+            np.minimum.at(low[axis], own, line)
+            np.maximum.at(high[axis], own, line)
+        self.low, self.high = low[:, 1:].T, high[:, 1:].T
 
         wr, wc = divmod(np.flatnonzero(diagonal_pairs(fg)), width - 1)
         # Each row of a pair's window holds one cell of the pair beside a

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corners import ComponentContext, _ringed, find_pathological
+from .corners import ComponentContext, find_pathological
 from .errors import (
     ContourOverlapError,
     CurveError,
@@ -97,11 +97,11 @@ class CurveTable:
 
     The walk is a function on states (boundary cell, heading): the next step
     is the first of left, straight, right and back that lands on the
-    foreground, where a cell's 4-neighbours carry its label. Four
-    `np.where` passes find it for each of the 16 sets of foreground
-    4-neighbours, and every state reads its cell's. A component's outer
-    contour starts at its first cell heading E, and a hole contour at the
-    cell above its region's first cell (`regions`, from
+    foreground, where a cell's 4-neighbours carry its label. Four `np.where`
+    passes find it for each 3 x 3 code of `table`, whose bits 1, 5, 7 and 3
+    are a cell's N, E, S and W, and every cell reads its own code's. A
+    component's outer contour starts at its first cell heading E, and a hole
+    contour at the cell above its region's first cell (`regions`, from
     `labeling.hole_regions`) heading W; a walk ends at its own start, as a
     walk one step at a time does. Pointer jumping walks every contour at
     once: while `jumps[j]` takes 2^j steps, the first 2^j states of each
@@ -109,41 +109,36 @@ class CurveTable:
     stopped at another contour's start goes on from there in a further
     round, which only a component whose contours meet needs; a walk is cut
     at 4 steps per boundary cell, since a longer one cycles. Row `cid` is
-    `ok` when each of its walks ends where it started and its contours
-    visit each of its boundary cells once; otherwise `fault` names where
-    they fail. `points` holds every contour's cells in order, at `labels`'
+    `ok` when each of its walks ends where it started and its contours visit
+    each of its boundary cells once; otherwise `fault` names where they
+    fail. `points` holds every contour's cells in order, at `labels`'
     positions plus `offset`: row `cid` has contours `rows[cid]` to
     `rows[cid + 1]`, the outer one first, and contour i the points
     `begin[i]` to `begin[i + 1]`. A row with a thin point is not walked:
     it is not `ok`, and its contours have no points. `table` is the
-    `corners.ComponentTable` whose boundary and classes they are read from.
+    `corners.ComponentTable` whose cells, codes and classes they read.
     """
 
     def __init__(self, labels: np.ndarray, n: int, table, regions, offset=(0, 0)):
         width = labels.shape[1]
         self.table = table
         thin = table.classes[:, :2].any(axis=1)  # rows with a class 0 or 1 cell, which get no walk
-        cells = np.flatnonzero(table.boundary)
-        cells = cells[~thin[labels.ravel()[cells]]]  # the other rows' boundary cells, numbered row-major
+        keep = ~thin[table.own]  # the other rows' boundary cells, numbered row-major
+        cells, own = table.cells[keep], table.own[keep]
         count, sink = cells.size, 4 * cells.size  # a state is 4 * cell + heading
-        fg = _ringed(labels != 0).ravel()
-        ringed = cells + 2 * (cells // width) + width + 3
-        number = np.full(fg.size, count, dtype=np.int32)  # boundary cell number; `count` elsewhere
-        number[ringed] = np.arange(count)
-        step = _STEPS @ (width + 2, 1)
-        # The next heading (-1 for none) by heading, for each of the 16 sets
-        # of foreground 4-neighbours (bit d for heading d).
-        moves = np.full((16, 4), -1)
+        number = np.full(labels.size, count, dtype=np.int32)  # boundary cell number; `count` elsewhere
+        number[cells] = np.arange(count)
+        step = _STEPS @ (width, 1)
+        # The next heading (-1 for none) by heading, for each 3 x 3 code.
+        moves = np.full((512, 4), -1)
         for turn in (2, 1, 0, -1):  # back, right, straight, left: the last fit wins
             heading = (np.arange(4) + turn) % 4
-            moves = np.where(np.arange(16)[:, None] >> heading & 1, heading, moves)
-        near = fg[ringed[:, None] + step].view(np.uint8) @ np.array([1, 2, 4, 8], dtype=np.uint8)
-        move = np.take(moves.astype(np.int8), near, axis=0)
-        to = number[ringed[:, None] + step[move]]
+            moves = np.where(np.arange(512)[:, None] >> np.array([1, 5, 7, 3])[heading] & 1, heading, moves)
+        move = np.take(moves.astype(np.int8), table.code[keep], axis=0)
+        to = number[cells[:, None] + step[move]]
         succ = np.full(sink + 1, sink, dtype=np.int32)  # the sink, 4 * count, goes nowhere
         succ[:sink] = np.where((move >= 0) & (to < count), 4 * to + move, sink).ravel()
 
-        own = labels.ravel()[cells]
         holes, firsts = regions
         per = 1 + holes[1:]  # contours per component
         self.rows = np.cumsum(np.r_[0, 0, per]).tolist()
@@ -153,7 +148,7 @@ class CurveTable:
         head = np.full(outer.size, count)  # a row with no walk starts at no cell
         # Labels number components by first cell, a boundary cell.
         head[outer & ~thin[label]] = np.flatnonzero(np.diff(np.maximum.accumulate(own), prepend=0))
-        head[~outer] = number[firsts @ (width + 2, 1) + 1]  # the cell above, in the ringed array
+        head[~outer] = number[firsts @ (width, 1) - width]  # the cell above
         ends = np.zeros(count + 1, dtype=bool)
         ends[head] = ends[count] = True
         ends = np.repeat(ends, 4)[: sink + 1]

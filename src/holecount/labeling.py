@@ -125,14 +125,9 @@ class LabelMap:
         return labels
 
     @cached_property
-    def edge_boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`_edge_boxes` of `box`, found once for `slices` and `complements`."""
-        return _edge_boxes(self.box, self.component_count)
-
-    @cached_property
     def slices(self) -> list[tuple[slice, slice]]:
         """Bounding box of each component as two slices; id i at index i - 1."""
-        low, high = (cells + self.origin for cells in self.edge_boxes[1:])
+        low, high = self.table.low + self.origin, self.table.high + self.origin
         (r0, c0), (r1, c1) = low.T.tolist(), (high.T + 1).tolist()
         return list(zip(map(slice, r0, r1), map(slice, c0, c1)))
 
@@ -146,7 +141,7 @@ class LabelMap:
     @cached_property
     def complements(self) -> tuple[np.ndarray, np.ndarray]:
         """Hole regions of every component from one labelling (`hole_regions`) of `box`."""
-        return hole_regions(self.box, self.component_count, self.edge_boxes)
+        return hole_regions(self.box, self.component_count, self.table)
 
     @cached_property
     def hole_counts(self) -> list[int]:
@@ -165,7 +160,7 @@ class LabelMap:
         """Doubled-surface census of every component, a `solid3d.SurfaceTable`."""
         from .solid3d import SurfaceTable  # solid3d imports this module
 
-        return SurfaceTable(self.box, self.component_count, self.table.boundary)
+        return SurfaceTable(self.box, self.component_count, self.table)
 
     def points_of(self, component_id: int) -> frozenset[Point2]:
         return frozenset(map(tuple, np.argwhere(self.mask_of(component_id)).tolist()))
@@ -203,43 +198,26 @@ def label_components(g: BinaryGrid, target: str = "foreground") -> LabelMap:
     return LabelMap(labels, n, (rows.start, cols.start), mask.shape)
 
 
-def _edge_boxes(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cells with a background 4-neighbour or on the image border, as
-    positions in `labels`, and the first and last row and column of each
-    label 1..n among them, its box, as two (n, 2) arrays."""
-    edge = labels != 0
-    edge[1:-1, 1:-1] &= ~(edge[:-2, 1:-1] & edge[2:, 1:-1] & edge[1:-1, :-2] & edge[1:-1, 2:])
-    at = np.flatnonzero(edge)
-    own = labels.ravel()[at]
-    low, high = np.full((2, n + 1), labels.size), np.zeros((2, n + 1), dtype=np.intp)
-    for axis, cells in enumerate(divmod(at, labels.shape[1])):
-        np.minimum.at(low[axis], own, cells)
-        np.maximum.at(high[axis], own, cells)
-    return at, low[:, 1:].T, high[:, 1:].T
-
-
-def hole_regions(labels: np.ndarray, n: int, boxes=None) -> tuple[np.ndarray, np.ndarray]:
+def hole_regions(labels: np.ndarray, n: int, table) -> tuple[np.ndarray, np.ndarray]:
     """The enclosed complement regions of every component, from one labelling.
 
-    Only the cells with a background 4-neighbour matter: the others border
-    no complement region. Their bounding box is the component's. Each box,
-    grown by a background ring, is placed on one canvas that holds only
-    that component's cells: shelves of boxes, tallest first, each shelf as
-    tall as its first box, filled by one scatter of those cells. The canvas
-    complement is labelled once, 4-connected. Each shelf's top and bottom
-    rows are rings or free canvas, so all rings and free canvas are region
-    1. Every other region lies in one box, whose scan order the move kept,
-    and is either one that `holes_in_mask` counts for that component alone
-    or one of cells left off, which starts on a foreground cell. Returns
-    each label's hole count (index 0 unused) and the holes' first cells in
-    scan order, grouped by label, as positions in `labels`. `boxes` is
-    `_edge_boxes(labels, n)`, found here if not given.
+    Only the boundary cells of `table`, `labels`' `corners.ComponentTable`,
+    matter: the others have no background 4-neighbour, so they border no
+    complement region. Each label's box, the table's, grown by a background
+    ring, is placed on one canvas that holds only that component's boundary
+    cells: shelves of boxes, tallest first, each shelf as tall as its first
+    box, filled by one scatter of those cells. The canvas complement is
+    labelled once, 4-connected. Each shelf's top and bottom rows are rings
+    or free canvas, so all rings and free canvas are region 1. Every other
+    region lies in one box, whose scan order the move kept, and is either
+    one that `holes_in_mask` counts for that component alone or one of
+    cells left off, which starts on a foreground cell. Returns each label's
+    hole count (index 0 unused) and the holes' first cells in scan order,
+    grouped by label, as positions in `labels`.
     """
     if not n:
         return np.zeros(1, dtype=np.intp), np.zeros((0, 2), dtype=np.intp)
-    at, low, high = boxes or _edge_boxes(labels, n)
-    own = labels.ravel()[at]
-    rows = at // labels.shape[1]
+    at, rows, own, low, high = table.cells, table.rows, table.own, table.low, table.high
     order = np.argsort(low[:, 0] - high[:, 0], kind="stable")
     h, w = (high[order] - low[order] + 3).T
     # One row of boxes, cut into shelves about as long as the canvas is tall.

@@ -23,7 +23,8 @@ of its 6 neighboring edge slices. On one solid's surface, the full
 lattice is assembled only as the input of the one labeling of surface
 components; `SurfaceTable` credits every component of a label image from
 a table of each pixel's credit by its 3 x 3 code, built by this array code
-on first use. Tuple sets of public attributes are decoded only when read.
+on first use and read at `corners.ComponentTable.code`. Tuple sets of
+public attributes are decoded only when read.
 """
 
 from __future__ import annotations
@@ -287,41 +288,42 @@ def _component_chis(sc: SurfaceComplex, labels: np.ndarray, n: int) -> list[int]
 
 class SurfaceTable:
     """Surface census and Euler characteristic of every component's doubled
-    solid, whose surface is found as `extract_surface` finds it, read at the
-    boundary cells of a `LabelMap`'s box `labels` (`ComponentTable.boundary`).
+    solid, whose surface is found as `extract_surface` finds it, read from
+    `table`, the `corners.ComponentTable` of a `LabelMap`'s box `labels`.
     Row `cid` of `points` counts its points by class, 1..6 on the surface;
     of `genus`, (2 - (V - E + F)) / 2.
 
     Each surface cell is credited to its minimum corner's pixel p. It lies
-    in the cubes at p + {-1, 0}^2, so p's 3 x 3 foreground code decides it
+    in the cubes at p + {-1, 0}^2, so p's 3 x 3 code decides it
     (`_pixel_table`), and those cubes hold only p's label: two components'
-    solids share no lattice point. A pixel off the boundary has code 511, a
-    class-4 point on each layer and V - E + F = 0; a label has its area less
-    its boundary count of them, and its area is summed at the boundary, where
-    each of its runs along a row starts and ends. Row `cid` is `clean` when
-    its surface has a cube, every surface edge in 2 faces, every point with
-    3 or more surface neighbors, and one piece: when it passes every check of
-    `extract_surface`, `classify_surface_points` and `euler_genus_oracle`.
-    The surface of R x [1, 2] is connected iff R, the union of the cubes seen
-    from above, is, so one 4-connected labeling of the cubes counts pieces:
-    cubes that meet only at a corner share an edge of 4 faces, not clean.
+    solids share no lattice point. The table's own-label code serves as well
+    as the foreground's: a cell of another label in it touches p only
+    diagonally, with both cells between them background, so no cube at p
+    holds it. A pixel off the boundary has code 511, a class-4 point on each
+    layer and V - E + F = 0; a label has its area less its boundary count of
+    them. Row `cid` is `clean` when its surface has a cube, every surface
+    edge in 2 faces, every point with 3 or more surface neighbors, and one
+    piece: when it passes every check of `extract_surface`,
+    `classify_surface_points` and `euler_genus_oracle`. The surface of
+    R x [1, 2] is connected iff R, the union of the cubes seen from above,
+    is, so one 4-connected labeling of the cubes counts pieces: cubes that
+    meet only at a corner share an edge of 4 faces, not clean. Each piece's
+    label is read at the boundary pixels with a cube at their top left (code
+    bits 5, 7 and 8): its first cube has one there, since an interior pixel
+    would have a cube above it, in the same piece.
     """
 
-    def __init__(self, labels: np.ndarray, n: int, boundary: np.ndarray):
-        w, fg, at = labels.shape[1], np.pad(labels != 0, 1), np.flatnonzero(boundary)
-        rows, cols = divmod(at, w)
-        near = (w + 2) * np.arange(3)[:, None] + np.arange(3)  # bit 3 * i + j, i - 1 rows and j - 1 columns away
-        code = (1 << np.arange(9)) @ fg.ravel()[near.reshape(9, 1) + (at + 2 * rows)]
-        (credits, kind), own = _pixel_table(), labels.ravel()[at].astype(np.intp)
+    def __init__(self, labels: np.ndarray, n: int, table):
+        (credits, kind), own, code = _pixel_table(), table.own, table.code
         tally = np.bincount(own * len(credits) + kind[code], minlength=(n + 1) * len(credits)).reshape(n + 1, -1)
         self.points = tally @ np.eye(7, dtype=np.intp)[credits[:, :2]].sum(axis=1)
-        # A run starts where bit 3, the cell on the left, is 0 and ends where bit 5, on the right, is.
-        interior = np.bincount(own, (~code >> 5 & 1) * (cols + 1) - (~code >> 3 & 1) * cols - 1, n + 1)
-        self.points[:, 4] += 2 * interior.astype(np.intp)
+        self.points[:, 4] += 2 * (table.area - table.classes.sum(axis=1))
         self.genus = (2 - tally @ credits[:, 2]) // 2
-        pieces, count = label_mask(fg[1:-2, 1:-2] & fg[2:-1, 1:-2] & fg[1:-2, 2:-1] & fg[2:-1, 2:-1])
-        owner = np.zeros(count + 1, dtype=labels.dtype)
-        owner[pieces] = labels[:-1, :-1]
+        fg = labels != 0
+        pieces, count = label_mask(fg[:-1, :-1] & fg[1:, :-1] & fg[:-1, 1:] & fg[1:, 1:])
+        corner = code & 0b110100000 == 0b110100000  # a cube at the top left
+        owner = np.zeros(count + 1, dtype=np.intp)
+        owner[pieces.ravel()[(table.cells - table.rows)[corner]]] = own[corner]
         self.clean = np.bincount(owner[1:], minlength=n + 1) == 1
         self.clean &= ~self.points[:, 1:3].any(axis=1) & (tally @ credits[:, 3] == 0)
 

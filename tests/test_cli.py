@@ -338,8 +338,8 @@ def test_genus3d_failed_check_exit_2(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
     real = cli.solid3d.SurfaceTable.__init__
 
-    def tampered(self, labels, n, boundary):
-        real(self, labels, n, boundary)
+    def tampered(self, labels, n, table):
+        real(self, labels, n, table)
         self.genus = np.full_like(self.genus, 7)
 
     monkeypatch.setattr(cli.solid3d.SurfaceTable, "__init__", tampered)

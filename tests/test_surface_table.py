@@ -6,7 +6,10 @@ what `double_component` -> `extract_surface` -> `classify_surface_points`
 -> `euler_genus_oracle` gives on that component alone, and a row is flagged
 exactly when that chain raises. Every column must equal the table built by
 doubling the whole foreground (`doubled_table`, the package's earlier
-`SurfaceTable`), and the 3 x 3 table must be the 3D array code's own.
+`SurfaceTable`), and the 3 x 3 table must be the 3D array code's own. The
+columns the surface reads from `ComponentTable` (each boundary cell's
+own-label 3 x 3 code, each label's box and area) must equal what
+separate reads of the label image give.
 """
 
 import json
@@ -22,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 import holecount as hc
-from holecount import solid3d
+from holecount import corners, solid3d
 from holecount.errors import HolecountError
 from holecount.labeling import label_mask
 
@@ -147,6 +150,62 @@ def test_clean_rows_match_each_component_alone(g):
     for cid in range(1, labels.component_count + 1):
         row = (hc.SurfaceCensus(*table.points[cid, 3:].tolist()), int(table.genus[cid])) if table.clean[cid] else None
         assert row == alone(g, labels.mask_of(cid))
+
+
+# Two rings with 2-cell walls touching at one corner: there a boundary
+# cell's foreground code and own-label code differ.
+DIAGONAL = ["1111100000", "1111100000", "1101100000", "1111100000", "1111100000"]
+DIAGONAL += [row[::-1] for row in DIAGONAL[::-1]]
+# The 8-ring of a cell in circular order.
+RING = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
+
+
+def own_label_reads(labels, cells):
+    """Per cell of the 3 x 3 around each of `cells` (flat positions in
+    `labels`), whether it has that cell's label: a (3, 3, k) array of nine
+    reads of `labels` grown by a background ring, as the package's earlier
+    `SurfaceTable` read the foreground."""
+    w, padded = labels.shape[1], np.pad(labels, 1)
+    near = (w + 2) * np.arange(3)[:, None] + np.arange(3)
+    return padded.ravel()[near[..., None] + cells + 2 * (cells // w)] == labels.ravel()[cells]
+
+
+@settings(max_examples=400, deadline=None)
+@given(label_images())
+@example(hc.grid_from_rows(NESTED))
+@example(hc.grid_from_rows(DIAGONAL))
+@example(hc.grid_from_rows(["1"]))
+def test_component_table_columns_match_separate_reads(g):
+    """The boundary cells, their labels and own-label codes, the crossing
+    count read from the code (against the package's earlier rolled ring),
+    each label's box (`ndimage.find_objects`) and area (`np.bincount`)."""
+    labels = hc.label_components(g)
+    box, n, table = labels.box, labels.component_count, labels.table
+    fg = box != 0
+    boundary = fg & ~ndimage.binary_erosion(fg, np.ones((3, 3)), border_value=0)
+    assert np.array_equal(table.cells, np.flatnonzero(boundary))
+    assert np.array_equal(table.rows, table.cells // box.shape[1])
+    assert np.array_equal(table.own, box.ravel()[table.cells])
+    same = own_label_reads(box, table.cells)
+    assert np.array_equal(table.code, (1 << np.arange(9)) @ same.reshape(9, -1))
+    inside = np.stack([same[1 + dr, 1 + dc] for dr, dc in RING])
+    runs = np.count_nonzero(inside & ~np.roll(inside, -1, axis=0), axis=0)
+    assert np.array_equal(corners._RING_RUNS[table.code], runs)
+    spans = zip(table.low.tolist(), (table.high + 1).tolist())
+    assert [(slice(r0, r1), slice(c0, c1)) for (r0, c0), (r1, c1) in spans] == ndimage.find_objects(box)
+    assert np.array_equal(table.area[1:], np.bincount(box.ravel(), minlength=n + 1)[1:])
+
+
+def test_a_cell_met_only_at_a_corner_changes_no_credit():
+    """Why own-label codes serve the 3 x 3 table: a corner cell of the 3 x 3
+    whose two cells beside the centre are clear lies in no cube at the
+    centre, so clearing it leaves the credit of every code as it was."""
+    credits, kind = solid3d._pixel_table()
+    code = np.arange(512)
+    for corner, (a, b) in ((0, (1, 3)), (2, (1, 5)), (6, (3, 7)), (8, (5, 7))):
+        alone = code[(code >> corner & 1 == 1) & (code >> a & 1 == 0) & (code >> b & 1 == 0)]
+        assert alone.size == 64
+        assert np.array_equal(credits[kind[alone]], credits[kind[alone & ~(1 << corner)]]), corner
 
 
 @settings(max_examples=400, deadline=None)
