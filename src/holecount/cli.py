@@ -113,14 +113,19 @@ def _array(depth: int, parts: list[str]) -> str:
 
 _BOOL = ("false", "true")
 _POINT = _array(5, ["%d", "%d"])
+# A contour and an entry of `curves` on either side of their list's items ("@").
 _CONTOUR = _object(3, [
-    ("kind", '"%s"'), ("points", "%s"), ("cp2", "%d"), ("cp3", "%d"), ("cp4", "%d"), ("lemma_holds", "%s")
-])
+    ("kind", '"%s"'), ("points", _array(4, ["@"])), *[(k, "%d") for k in ("cp2", "cp3", "cp4")], ("lemma_holds", "%s")
+]).split("@")
 _CURVES = _object(1, [
     ("component_id", "%d"),
-    ("contours", "%s"),
+    ("contours", _array(2, ["@"])),
     ("accounting", _object(2, [("lhs", "%d"), ("rhs", "%d"), ("holds", "%s")])),
-])
+]).split("@")
+# Before a contour's first point: an outer one opens its entry, a hole follows a contour.
+_OUTER, _HOLE = ",\n  " + _CURVES[0] + _CONTOUR[0] % "outer", ",\n      " + _CONTOUR[0] % "hole"
+_SEP = ",\n" + "  " * 5  # between two points
+_CHUNK = 1 << 13  # lookups joined at a time
 _CHECKS = ("m6_zero", "m3_eq_2c2", "m5_eq_2c4", "genus_eq_holes", "genus_eq_euler", "simply_connected_identity")
 # Without and with the identity that only a genus-0 entry checks.
 _GENUS3D = [
@@ -150,12 +155,23 @@ def _records_json(records: list[dict]) -> str:
     return _array(0, [_object(1, [(key, "%s") for key in records[0]])] * len(records)) % tuple(values[1:-1].split(","))
 
 
+@functools.cache  # built per process, on the first request that needs `size`
+def _point_text(size: int) -> np.ndarray:
+    """A point's text in two parts, by coordinate below `size`: its row's at the row, with the
+    separator after the point before, and its column's at `size` plus the column, with its `]`."""
+    start, mid, end = _POINT.split("%d")
+    digits = [str(v) for v in range(size)]
+    return np.array([_SEP + start + d + mid for d in digits] + [d + end for d in digits], dtype=object)
+
+
 def cmd_curves(args) -> int:
     """Every contour and its counts, from the image's contour table. A valid
     component's contours partition its boundary (see
     `corners.ComponentTable`), so its row passes the table's check. On any
     other image the request stops (`_stop`) at the first invalid component,
-    else at the first row that fails the check, traced on its own."""
+    else at the first row that fails the check, traced on its own. A point's
+    text is two lookups (`_point_text`); a contour's first and last take its
+    opening and closing, filled from the census and accounting columns."""
     g = _read_grid(args)
     labels = label_components(g, "foreground")
     valid = labels.table.valid[1:]
@@ -164,25 +180,31 @@ def cmd_curves(args) -> int:
     table = labels.curves
     if not table.ok[1:].all():
         return _stop(g, labels, 1 + int(np.argmin(table.ok[1:])), curves.trace_contours)
-    rows, begin, xy = table.rows, table.begin, table.points.ravel().tolist()
-    blocks, entries, holds = {}, [], True  # blocks: the layout of k points, by k
-    for cid in range(1, labels.component_count + 1):
-        counts = table.counts(cid)
-        contours = []
-        for i, (cp2, cp3, cp4) in enumerate(counts, rows[cid]):
-            kind = curves.OUTER if i == rows[cid] else curves.HOLE
-            lemma = (cp2 - cp4 if kind == curves.OUTER else cp4 - cp2) == 4
-            k = begin[i + 1] - begin[i]
-            if k not in blocks:
-                blocks[k] = _array(4, [_POINT] * k)
-            points = blocks[k] % tuple(xy[2 * begin[i] : 2 * begin[i + 1]])
-            contours.append(_CONTOUR % (kind, points, cp2, cp3, cp4, _BOOL[lemma]))
-            holds = holds and lemma
-        lhs, rhs, identity = curves.accounting_identity(counts)
-        entries.append(_CURVES % (cid, _array(2, contours), lhs, rhs, _BOOL[identity]))
-        holds = holds and identity
-    _print_list(entries)
-    return EXIT_OK if holds else EXIT_DISAGREEMENT
+    if not labels.component_count:
+        print("[]")
+        return EXIT_OK
+    begin, xy, starts = table.begin, table.points, table.rows[1:-1]
+    cp2, cp3, cp4 = table.census.T
+    ids = np.zeros(len(cp2), dtype=int)  # a component's id at its outer contour, 0 at a hole's
+    ids[starts] = np.arange(1, len(starts) + 1)
+    lemma = np.where(ids > 0, cp2 - cp4, cp4 - cp2) == 4
+    lhs, rhs = np.add.reduceat(cp4 - cp2, starts), 4 * np.diff(table.rows[1:]) - 8
+    size = 1 << int(xy.max()).bit_length()
+    text = _point_text(size)
+    heads = [(_OUTER % i if i else _HOLE) + r[len(_SEP) :] for i, r in zip(ids.tolist(), text.take(xy[begin[:-1], 0]))]
+    heads[0] = "[" + heads[0][1:]
+    counts = zip(cp2.tolist(), cp3.tolist(), cp4.tolist(), np.take(_BOOL, lemma).tolist())
+    tails = [c + _CONTOUR[1] % v for c, v in zip(text.take(size + xy[begin[1:] - 1, 1]), counts)]
+    accounting = zip(lhs.tolist(), rhs.tolist(), np.take(_BOOL, lhs == rhs).tolist())
+    for i, v in zip(np.subtract(table.rows[2:], 1).tolist(), accounting):
+        tails[i] += _CURVES[1] % v
+    index = (xy + (0, size)).ravel()
+    index[np.r_[2 * begin[:-1], 2 * begin[1:] - 1]] = len(text) + np.arange(2 * len(cp2))
+    text = np.concatenate([text, np.array(heads + tails, dtype=object)])
+    for a in range(0, index.size, _CHUNK):
+        sys.stdout.write("".join(text.take(index[a : a + _CHUNK]).tolist()))
+    print("\n]")
+    return EXIT_OK if lemma.all() and (lhs == rhs).all() else EXIT_DISAGREEMENT
 
 
 def _genus3d_row(g, ctx) -> None:

@@ -79,13 +79,6 @@ class AccountingResult:
     curve_censuses: tuple[CurveCensus, ...]
 
 
-def accounting_identity(rows) -> tuple[int, int, bool]:
-    """lhs, rhs and holds of `AccountingResult` from the (cp2, cp3, cp4) of
-    each contour of a component, the outer one first."""
-    lhs, rhs = sum(cp4 - cp2 for cp2, _, cp4 in rows), -4 + 4 * (len(rows) - 1)
-    return lhs, rhs, lhs == rhs
-
-
 # The headings N, E, S, W as steps: clockwise, so a left turn is -1 and a
 # right turn +1, mod 4.
 _STEPS = np.array([(-1, 0), (0, 1), (1, 0), (0, -1)])
@@ -114,10 +107,10 @@ class CurveTable:
     fail. `points` holds every contour's cells in order, at `labels`'
     positions plus `offset`: row `cid` has contours `rows[cid]` to
     `rows[cid + 1]`, the outer one first, and contour i the points
-    `begin[i]` to `begin[i + 1]`. A row with a thin point is not walked:
-    it is not `ok`, and its contours have no points. `table` is the
-    `corners.ComponentTable` whose cells, codes and classes they read.
-    """
+    `begin[i]` to `begin[i + 1]`, with cp2, cp3 and cp4 `census[i]`. A row
+    with a thin point is not walked: it is not `ok`, and its contours have
+    no points. `table` is the `corners.ComponentTable` whose cells, codes
+    and classes they read."""
 
     def __init__(self, labels: np.ndarray, n: int, table, regions, offset=(0, 0)):
         width = labels.shape[1]
@@ -127,7 +120,7 @@ class CurveTable:
         cells, own = table.cells[keep], table.own[keep]
         count, sink = cells.size, 4 * cells.size  # a state is 4 * cell + heading
         number = np.full(labels.size, count, dtype=np.int32)  # boundary cell number; `count` elsewhere
-        number[cells] = np.arange(count)
+        number[cells] = np.arange(count, dtype=np.int32)
         step = _STEPS @ (width, 1)
         # The next heading (-1 for none) by heading, for each 3 x 3 code.
         moves = np.full((512, 4), -1)
@@ -135,7 +128,7 @@ class CurveTable:
             heading = (np.arange(4) + turn) % 4
             moves = np.where(np.arange(512)[:, None] >> np.array([1, 5, 7, 3])[heading] & 1, heading, moves)
         move = np.take(moves.astype(np.int8), table.code[keep], axis=0)
-        to = number[cells[:, None] + step[move]]
+        to = number.take(cells[:, None] + step.take(move))
         succ = np.full(sink + 1, sink, dtype=np.int32)  # the sink, 4 * count, goes nowhere
         succ[:sink] = np.where((move >= 0) & (to < count), 4 * to + move, sink).ravel()
 
@@ -196,8 +189,8 @@ class CurveTable:
         self._missed = own[missed], np.stack(divmod(cells[missed], width), axis=1) + offset
         classes = table.direct.ravel()[cells[path]]
         census = np.bincount(np.repeat(np.arange(outer.size) * 5, length) + classes, minlength=5 * outer.size)
-        self._census = census.reshape(-1, 5)[:, 2:].tolist()
-        self.begin = np.append(begin, path.size).tolist()
+        self.census = census.reshape(-1, 5)[:, 2:]
+        self.begin = np.append(begin, path.size)
         self.points = np.stack(divmod(cells[path], width), axis=1) + offset
 
     def contours(self, cid: int) -> list[tuple[str, np.ndarray]]:
@@ -221,17 +214,17 @@ class CurveTable:
 
     def counts(self, cid: int) -> list[list[int]]:
         """cp2, cp3 and cp4 of each contour of row `cid`, the outer one first."""
-        return self._census[self.rows[cid] : self.rows[cid + 1]]
+        return self.census[self.rows[cid] : self.rows[cid + 1]].tolist()
 
     def accounting(self, cid: int) -> AccountingResult:
         """What `second_proof_accounting` gives on the component of row `cid`."""
         rows = self.counts(cid)
         cp2, cp3, cp4 = map(sum, zip(*rows))
-        lhs, rhs, holds = accounting_identity(rows)
+        lhs, rhs = cp4 - cp2, -4 + 4 * (len(rows) - 1)
         return AccountingResult(
             lhs=lhs,
             rhs=rhs,
-            holds=holds,
+            holds=lhs == rhs,
             hole_count=len(rows) - 1,
             census_match=[cp2, cp3, cp4] == self.table.classes[cid, 2:].tolist(),
             curve_censuses=tuple(CurveCensus(*k) for k in rows),

@@ -304,30 +304,31 @@ def test_bad_arguments_exit_1(capsys, argv):
     assert err.startswith("error: ")
 
 
+def _tamper_cp2(monkeypatch, delta):
+    """Adds `delta` to the cp2 of component 1's contours in the census column
+    of every contour table, which the `curves` writer reads."""
+    real = cli.curves.CurveTable.__init__
+
+    def tampered(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        self.census[self.rows[1] : self.rows[2], 0] += delta
+
+    monkeypatch.setattr(cli.curves.CurveTable, "__init__", tampered)
+
+
 def test_curves_failed_identity_exit_2(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
-    real = cli.curves.CurveTable.counts
-    monkeypatch.setattr(
-        cli.curves.CurveTable,
-        "counts",
-        lambda self, cid: [[cp2 + 1, cp3, cp4] for cp2, cp3, cp4 in real(self, cid)],
-    )
+    _tamper_cp2(monkeypatch, [1, 1])
     code, out, _ = run_cli(capsys, "curves", path)
     assert code == cli.EXIT_DISAGREEMENT
     assert json.loads(out)[0]["accounting"]["holds"] is False
 
 
 def test_curves_failed_lemma_exit_2(tmp_path, capsys, monkeypatch):
+    # One cp2 moves from the outer contour to the hole's: the sums, and so
+    # the accounting, stay as they were.
     path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
-    real = cli.curves.CurveTable.counts
-
-    def tampered(self, cid):
-        # One cp2 moves from the outer contour to the hole's: the sums, and
-        # so the accounting, stay as they were.
-        (a2, a3, a4), (b2, b3, b4) = real(self, cid)
-        return [[a2 - 1, a3, a4], [b2 + 1, b3, b4]]
-
-    monkeypatch.setattr(cli.curves.CurveTable, "counts", tampered)
+    _tamper_cp2(monkeypatch, [-1, 1])
     code, out, _ = run_cli(capsys, "curves", path)
     assert code == cli.EXIT_DISAGREEMENT
     assert json.loads(out)[0]["accounting"]["holds"] is True

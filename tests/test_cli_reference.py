@@ -4,7 +4,9 @@ On an image whose components are all valid, both commands write their JSON
 straight from the image's tables. The reference here builds each entry from
 the component's own point set (`LabelMap.points_of`), so the crop's own
 tables produce it and the image's tables do not, and lays the list out with
-`json.dumps(..., indent=2)`.
+`json.dumps(..., indent=2)`. `curves`' text is also held to the writer that
+filled a k-point template per contour (`per_contour_writer`), on images
+whose coordinates cross a digit count.
 """
 
 import contextlib
@@ -12,13 +14,14 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holecount as hc
-from holecount import cli
+from holecount import cli, gen
 
 
 def holed_rect(draw, h, w):
@@ -139,3 +142,115 @@ def test_curves_and_genus3d_match_each_component_alone(g):
             fh.write(hc.to_ascii01(g))
         for command, reference in (("curves", curves_reference), ("genus3d", genus3d_reference)):
             assert run(command, path) == (cli.EXIT_OK, json.dumps(reference(g, labels), indent=2) + "\n")
+
+
+_POINT = cli._array(5, ["%d", "%d"])
+_CONTOUR = cli._object(3, [
+    ("kind", '"%s"'), ("points", "%s"), ("cp2", "%d"), ("cp3", "%d"), ("cp4", "%d"), ("lemma_holds", "%s")
+])
+_CURVES = cli._object(1, [
+    ("component_id", "%d"),
+    ("contours", "%s"),
+    ("accounting", cli._object(2, [("lhs", "%d"), ("rhs", "%d"), ("holds", "%s")])),
+])
+
+
+def per_contour_writer(labels) -> tuple[int, str]:
+    """Exit code and stdout of `curves` on an image whose components are all
+    valid, one contour at a time: its k points fill a template of k points,
+    and it and its entry fill fixed templates, from the contour table."""
+    table = labels.curves
+    rows, begin, xy = table.rows, table.begin.tolist(), table.points.ravel().tolist()
+    blocks, entries, holds = {}, [], True  # blocks: the layout of k points, by k
+    for cid in range(1, labels.component_count + 1):
+        counts = table.counts(cid)
+        contours = []
+        for i, (cp2, cp3, cp4) in enumerate(counts, rows[cid]):
+            kind = "outer" if i == rows[cid] else "hole"
+            lemma = (cp2 - cp4 if kind == "outer" else cp4 - cp2) == 4
+            k = begin[i + 1] - begin[i]
+            if k not in blocks:
+                blocks[k] = cli._array(4, [_POINT] * k)
+            points = blocks[k] % tuple(xy[2 * begin[i] : 2 * begin[i + 1]])
+            contours.append(_CONTOUR % (kind, points, cp2, cp3, cp4, cli._BOOL[lemma]))
+            holds = holds and lemma
+        lhs, rhs = sum(cp4 - cp2 for cp2, _, cp4 in counts), -4 + 4 * (len(counts) - 1)
+        entries.append(_CURVES % (cid, cli._array(2, contours), lhs, rhs, cli._BOOL[lhs == rhs]))
+        holds = holds and lhs == rhs
+    text = "".join(("[" if i == 0 else ",") + "\n  " + entry for i, entry in enumerate(entries))
+    return (cli.EXIT_OK if holds else cli.EXIT_DISAGREEMENT), text + ("\n]\n" if entries else "[]\n")
+
+
+def rect_tiles(draw):
+    """Rows and columns of `gen_rect_with_holes` rectangles, 6-8 px with 0 or
+    1 hole, apart from each other."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    arr = np.zeros((10 * rows, 10 * cols), dtype=bool)
+    for r in range(rows):
+        for c in range(cols):
+            h, w, holes = draw(st.integers(6, 8)), draw(st.integers(6, 8)), draw(st.integers(0, 1))
+            spec = gen.random_rect_spec(draw(st.integers(0, 2**16)), (h, w), holes)
+            arr[10 * r : 10 * r + h, 10 * c : 10 * c + w] = gen.gen_rect_with_holes(spec).cells
+    return arr
+
+
+def nested_rings(draw):
+    """Square rings, each 2 thick, in the hole of the one around it, the
+    innermost around a square or nothing."""
+    count, side = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    n = side + 6 * count
+    arr = np.zeros((n, n), dtype=bool)
+    for i in range(count):
+        arr[3 * i : n - 3 * i, 3 * i : n - 3 * i] = True
+        arr[3 * i + 2 : n - 3 * i - 2, 3 * i + 2 : n - 3 * i - 2] = False
+    arr[3 * count : n - 3 * count, 3 * count : n - 3 * count] = draw(st.booleans())
+    return arr
+
+
+@st.composite
+def margined_images(draw):
+    """Rectangle tiles, nested rings or diagonal contacts (`valid_images`),
+    with top and left margins that put their coordinates across 9 -> 10,
+    99 -> 100 or 999 -> 1000: each shape is at least 6 px each way."""
+    kind = draw(st.sampled_from(["tiles", "rings", "contacts"]))
+    shape = {"tiles": rect_tiles, "rings": nested_rings, "contacts": lambda d: d(valid_images()).cells}[kind](draw)
+    top, left = (draw(st.integers(0, 9) | st.integers(94, 99) | st.integers(994, 999)) for _ in range(2))
+    h, w = shape.shape
+    arr = np.zeros((top + h + draw(st.integers(0, 2)), left + w + draw(st.integers(0, 2))), dtype=bool)
+    arr[top : top + h, left : left + w] = shape
+    return hc.BinaryGrid(arr)
+
+
+def ring_past_1000():
+    arr = np.zeros((1010, 1012), dtype=bool)
+    arr[1001:1007, 1003:1009] = True
+    arr[1003:1005, 1005:1007] = False
+    return hc.BinaryGrid(arr)
+
+
+def curves_of(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "w") as fh:
+            fh.write(hc.to_ascii01(g))
+        return run("curves", path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(margined_images(), st.sampled_from([1, 7, cli._CHUNK]))
+@example(hc.grid_from_rows(["000", "000"]), cli._CHUNK)
+@example(ring_past_1000(), cli._CHUNK)
+def test_curves_text_matches_the_per_contour_writer(g, chunk):
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        code, out = curves_of(g)
+    assert (code, out) == per_contour_writer(hc.label_components(g))
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_curves_of_an_empty_image_and_of_a_ring_past_1000():
+    assert curves_of(hc.grid_from_rows(["000", "000"])) == (cli.EXIT_OK, "[]\n")
+    code, out = curves_of(ring_past_1000())
+    (entry,) = json.loads(out)
+    outer, hole = entry["contours"]
+    assert code == cli.EXIT_OK and entry["accounting"] == {"lhs": 0, "rhs": 0, "holds": True}
+    assert min(map(tuple, outer["points"])) == (1001, 1003) and min(map(tuple, hole["points"])) == (1002, 1004)
