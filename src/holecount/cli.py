@@ -214,7 +214,7 @@ def _genus3d_row(g, ctx) -> None:
     sc = solid3d.extract_surface(solid3d.double_component(g, ctx))
     solid3d.genus_by_formula(solid3d.classify_surface_points(sc))
     solid3d.euler_genus_oracle(sc)
-    holes.holes_by_formula(ctx.census)
+    holes.holes_by_formula(ctx.labels.table.censuses[ctx.cid])
 
 
 def cmd_genus3d(args) -> int:

@@ -112,44 +112,45 @@ def neighbor_counts(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return direct, full
 
 
-# The 8-ring of a cell in circular order; per 3 x 3 code (bit 3 * dr + dc + 4:
-# the cell dr rows and dc columns away), its ring and its runs of set cells.
+# Each 3 x 3 code's tile: TILES[code, 1 + dr, 1 + dc], bit 3 * dr + dc + 4, is the cell dr rows
+# and dc columns away. The 8-ring of a cell in circular order; per code, its ring and its runs.
+TILES = (np.arange(512)[:, None] >> np.arange(9) & 1).reshape(512, 3, 3) != 0
 _RING = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
-_AROUND = np.arange(512)[:, None] >> np.array([3 * dr + dc + 4 for dr, dc in _RING]) & 1
+_AROUND = TILES[:, [1 + dr for dr, _ in _RING], [1 + dc for _, dc in _RING]]
 _RING_RUNS = np.count_nonzero(_AROUND > np.roll(_AROUND, -1, axis=1), axis=1)
 
 
 class ComponentTable:
-    """Corner census and validity of every component of a label image, and
+    """Corner census and validity of every component of a `LabelMap`, and
     each boundary cell's 3 x 3 code, which the other tables read.
 
-    `labels` numbers the components 1..n so that 4-adjacent foreground cells
-    share a label; a set read as one component is all label 1. `direct` and
-    `boundary` come from the foreground's `neighbor_counts`. Each boundary
-    cell (`cells`, row-major positions in `labels`, in rows `rows`, of
-    labels `own`) reads its 8-ring once: `code` sets bit 3 * dr + dc + 4
-    when the cell dr rows and dc columns away has its label, and bit 4; its
-    bits 1, 5, 7 and 3 (N, E, S and W) are the foreground's. 2 or more runs
-    of its label around the ring are an overlap, where two contours would
-    meet (a crossing number: Yokoi et al., CGIP 1975). A diagonal pair of
-    one label is a pathological window. With no thin point and no window a
+    Built from a map's `box`, whose labels number the components 1..n so
+    that 4-adjacent foreground cells share one (a set read as one component
+    is all label 1); the map is not kept. `direct` and `boundary` come from
+    the foreground's `neighbor_counts`. Each boundary cell (`cells`,
+    row-major positions in the box, of labels `own`) reads its 8-ring once:
+    the tile of its `code` (`TILES`) is set at itself and at its ring cells
+    of its label; its N, E, S and W are the foreground's. 2 or more runs of
+    its label around the ring are an overlap, where two contours would meet
+    (a crossing number: Yokoi et al., CGIP 1975). A diagonal pair of one
+    label is a pathological window. With no thin point and no window a
     component is well-composed (Latecki et al., CVIU 1995); `valid` adds no
     overlap. `low` and `high` hold each label's first and last row and
-    column, rows 1..n, and `area` its cell count, summed where its runs
-    along a row start (bit 3 clear) and end (bit 5 clear). Fault positions
-    are `labels`' plus `offset`.
+    column in the box, rows 1..n, and `area` its cell count, summed where
+    its runs along a row start (no cell of its label to the W) and end (none
+    to the E). Fault positions are the box's plus the map's `origin`.
     """
 
-    def __init__(self, labels: np.ndarray, n: int, offset: tuple[int, int] = (0, 0)):
-        height, width = labels.shape
-        self.offset = offset
-        fg = labels != 0
+    def __init__(self, labels: LabelMap):
+        box, n, origin = labels.box, labels.component_count, labels.origin
+        height, width = box.shape
+        fg = box != 0
         self.direct, full = neighbor_counts(fg)
         self.boundary = fg & (full < 8)
         at = np.flatnonzero(self.boundary)
         k = self.direct.ravel()[at]
         rows, cols = divmod(at, width)
-        flat = labels.ravel()
+        flat = box.ravel()
         own = flat[at].astype(np.intp)
         # Per row and column step, whether the ring cell is in the image; off it, reads are clipped.
         fits = {-1: (rows > 0, cols > 0), 0: (True, True), 1: (rows < height - 1, cols < width - 1)}
@@ -158,11 +159,12 @@ class ComponentTable:
             same = flat.take(at + dr * width + dc, mode="clip") == own
             same &= fits[dr][0] & fits[dc][1]
             code |= np.left_shift(same, 3 * dr + dc + 4, dtype=np.uint16)
-        self.cells, self.rows, self.own, self.code = at, rows, own, code
+        self.cells, self.own, self.code = at, own, code
         self.classes = np.bincount(own * 5 + k, minlength=5 * (n + 1)).reshape(n + 1, 5)
         self.overlaps = np.bincount(own[_RING_RUNS[code] >= 2], minlength=n + 1) > 0
-        self.area = np.bincount(own, (~code >> 5 & 1) * (cols + 1) - (~code >> 3 & 1) * cols, n + 1).astype(np.intp)
-        low, high = np.full((2, n + 1), labels.size), np.zeros((2, n + 1), dtype=np.intp)
+        ends, starts = ~TILES[:, 1, 2].take(code), ~TILES[:, 1, 0].take(code)  # of its runs along a row
+        self.area = np.bincount(own, ends * (cols + 1) - starts * cols, n + 1).astype(np.intp)
+        low, high = np.full((2, n + 1), box.size), np.zeros((2, n + 1), dtype=np.intp)
         for axis, line in enumerate((rows, cols)):
             np.minimum.at(low[axis], own, line)
             np.maximum.at(high[axis], own, line)
@@ -171,15 +173,15 @@ class ComponentTable:
         wr, wc = divmod(np.flatnonzero(diagonal_pairs(fg)), width - 1)
         # Each row of a pair's window holds one cell of the pair beside a
         # background cell, so the row's sum is that cell's label.
-        top = labels[wr, wc] + labels[wr, wc + 1]
-        shared = top == labels[wr + 1, wc] + labels[wr + 1, wc + 1]
+        top = box[wr, wc] + box[wr, wc + 1]
+        shared = top == box[wr + 1, wc] + box[wr + 1, wc + 1]
         # Thin points, then windows, each row-major: sorted stably by label.
         thin = k < 2
         faulty = np.concatenate([own[thin], top[shared]])
         self._faults = np.stack([
             np.repeat([0, 1], [np.count_nonzero(thin), np.count_nonzero(shared)]),
-            np.concatenate([rows[thin], wr[shared]]) + offset[0],
-            np.concatenate([cols[thin], wc[shared]]) + offset[1],
+            np.concatenate([rows[thin], wr[shared]]) + origin[0],
+            np.concatenate([cols[thin], wc[shared]]) + origin[1],
         ])[:, np.argsort(faulty, kind="stable")]
         counts = np.bincount(faulty, minlength=n + 1)
         self._starts = np.concatenate(([0], np.cumsum(counts))).tolist()
@@ -189,9 +191,6 @@ class ComponentTable:
     def censuses(self) -> list[CornerCensus]:
         """The census of every row, built once; row 0 is the background's."""
         return [CornerCensus(k[2], k[3], k[4], sum(k)) for k in self.classes.tolist()]
-
-    def census(self, cid: int) -> CornerCensus:
-        return self.censuses[cid]
 
     def faults(self, cid: int) -> list[tuple[str, Point2]]:
         """The thin points, then the pathological windows of `cid`, each row-major."""
@@ -300,10 +299,6 @@ class ComponentContext:
         """Labeled complement; thanks to the ring, region 1 is the unbounded one."""
         return label_mask(~self.mask)
 
-    @cached_property
-    def census(self) -> CornerCensus:
-        return self.labels.table.census(self.cid)
-
     def positions(self, cells: np.ndarray) -> list[Point2]:
         """Image positions of the True cells of a `mask`-shaped array, row-major."""
         return _positions(cells, self.offset)
@@ -332,7 +327,7 @@ def classify_corners(g: BinaryGrid, component) -> CornerClassification:
     ctx = ComponentContext.of(g, component)
     if not ctx.area:
         raise EmptyComponentError("census of an empty component")
-    return CornerClassification(census=ctx.labels.table.census(ctx.cid), context=ctx)
+    return CornerClassification(census=ctx.labels.table.censuses[ctx.cid], context=ctx)
 
 
 def find_pathological(g: BinaryGrid, component) -> PathologyReport:
@@ -387,4 +382,4 @@ def image_census(g: BinaryGrid) -> tuple[CornerCensus, int]:
     count, an accounting model and not a measurement: one read of each
     cell for itself plus one per 8-neighbor, 9 touches per pixel total.
     """
-    return ComponentTable(g.cells.view(np.uint8), 1).census(1), 9 * g.cells.size
+    return ComponentTable(LabelMap(g.cells.view(np.uint8), 1)).censuses[1], 9 * g.cells.size

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corners import ComponentContext, find_pathological
+from .corners import TILES, ComponentContext, find_pathological
 from .errors import (
     ContourOverlapError,
     CurveError,
@@ -28,6 +28,7 @@ from .errors import (
     ThinComponentError,
 )
 from .grid import BinaryGrid, Point2
+from .labeling import LabelMap
 
 OUTER = "outer"
 HOLE = "hole"
@@ -85,16 +86,16 @@ _STEPS = np.array([(-1, 0), (0, 1), (1, 0), (0, -1)])
 
 
 class CurveTable:
-    """The contours of every component of a label image, from one
-    vectorised left-hand walk.
+    """The contours of every component of a `LabelMap`, from one vectorised
+    left-hand walk.
 
     The walk is a function on states (boundary cell, heading): the next step
     is the first of left, straight, right and back that lands on the
-    foreground, where a cell's 4-neighbours carry its label. Four `np.where`
-    passes find it for each 3 x 3 code of `table`, whose bits 1, 5, 7 and 3
-    are a cell's N, E, S and W, and every cell reads its own code's. A
-    component's outer contour starts at its first cell heading E, and a hole
-    contour at the cell above its region's first cell (`regions`, from
+    foreground, where a cell's 4-neighbours carry its label. It is found
+    once for each 3 x 3 code, on its tile (`corners.TILES`), and every
+    boundary cell of the map's `table` reads its own code's. A component's
+    outer contour starts at its first cell heading E, and a hole contour at
+    the cell above its region's first cell (the map's `complements`, from
     `labeling.hole_regions`) heading W; a walk ends at its own start, as a
     walk one step at a time does. Pointer jumping walks every contour at
     once: while `jumps[j]` takes 2^j steps, the first 2^j states of each
@@ -104,35 +105,34 @@ class CurveTable:
     at 4 steps per boundary cell, since a longer one cycles. Row `cid` is
     `ok` when each of its walks ends where it started and its contours visit
     each of its boundary cells once; otherwise `fault` names where they
-    fail. `points` holds every contour's cells in order, at `labels`'
-    positions plus `offset`: row `cid` has contours `rows[cid]` to
-    `rows[cid + 1]`, the outer one first, and contour i the points
-    `begin[i]` to `begin[i + 1]`, with cp2, cp3 and cp4 `census[i]`. A row
-    with a thin point is not walked: it is not `ok`, and its contours have
-    no points. `table` is the `corners.ComponentTable` whose cells, codes
-    and classes they read."""
+    fail. `points` holds every contour's cells in order, at image positions:
+    row `cid` has contours `rows[cid]` to `rows[cid + 1]`, the outer one
+    first, and contour i the points `begin[i]` to `begin[i + 1]`, with cp2,
+    cp3 and cp4 `census[i]`. A row with a thin point is not walked: it is
+    not `ok`, and its contours have no points. Of the map, only its `table`,
+    the `corners.ComponentTable` whose classes `accounting` reads, is kept."""
 
-    def __init__(self, labels: np.ndarray, n: int, table, regions, offset=(0, 0)):
-        width = labels.shape[1]
+    def __init__(self, labels: LabelMap):
+        table, n, width = labels.table, labels.component_count, labels.box.shape[1]
         self.table = table
         thin = table.classes[:, :2].any(axis=1)  # rows with a class 0 or 1 cell, which get no walk
         keep = ~thin[table.own]  # the other rows' boundary cells, numbered row-major
         cells, own = table.cells[keep], table.own[keep]
         count, sink = cells.size, 4 * cells.size  # a state is 4 * cell + heading
-        number = np.full(labels.size, count, dtype=np.int32)  # boundary cell number; `count` elsewhere
+        number = np.full(labels.box.size, count, dtype=np.int32)  # boundary cell number; `count` elsewhere
         number[cells] = np.arange(count, dtype=np.int32)
         step = _STEPS @ (width, 1)
-        # The next heading (-1 for none) by heading, for each 3 x 3 code.
-        moves = np.full((512, 4), -1)
-        for turn in (2, 1, 0, -1):  # back, right, straight, left: the last fit wins
-            heading = (np.arange(4) + turn) % 4
-            moves = np.where(np.arange(512)[:, None] >> np.array([1, 5, 7, 3])[heading] & 1, heading, moves)
+        # The next heading (-1 for none) by heading, for each 3 x 3 code: the first that fits of
+        # left, straight, right and back.
+        turns = (np.arange(4)[:, None] + [-1, 0, 1, 2]) % 4
+        fits = TILES[:, 1 + _STEPS[turns, 0], 1 + _STEPS[turns, 1]]
+        moves = np.where(fits.any(axis=2), turns[np.arange(4), fits.argmax(axis=2)], -1)
         move = np.take(moves.astype(np.int8), table.code[keep], axis=0)
         to = number.take(cells[:, None] + step.take(move))
         succ = np.full(sink + 1, sink, dtype=np.int32)  # the sink, 4 * count, goes nowhere
         succ[:sink] = np.where((move >= 0) & (to < count), 4 * to + move, sink).ravel()
 
-        holes, firsts = regions
+        holes, firsts = labels.complements
         per = 1 + holes[1:]  # contours per component
         self.rows = np.cumsum(np.r_[0, 0, per]).tolist()
         label = np.repeat(np.arange(n + 1), np.r_[0, per])
@@ -186,12 +186,12 @@ class CurveTable:
         faults = np.bincount(own[visits != 1], minlength=n + 1)
         self.ok = (faults + np.bincount(label[~closed], minlength=n + 1) == 0) & ~thin
         missed = visits == 0
-        self._missed = own[missed], np.stack(divmod(cells[missed], width), axis=1) + offset
+        self._missed = own[missed], np.stack(divmod(cells[missed], width), axis=1) + labels.origin
         classes = table.direct.ravel()[cells[path]]
         census = np.bincount(np.repeat(np.arange(outer.size) * 5, length) + classes, minlength=5 * outer.size)
         self.census = census.reshape(-1, 5)[:, 2:]
         self.begin = np.append(begin, path.size)
-        self.points = np.stack(divmod(cells[path], width), axis=1) + offset
+        self.points = np.stack(divmod(cells[path], width), axis=1) + labels.origin
 
     def contours(self, cid: int) -> list[tuple[str, np.ndarray]]:
         """Kind and points ((k, 2) rows of `points`) of each contour of row

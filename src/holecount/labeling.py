@@ -103,8 +103,8 @@ class LabelMap:
     `box` labels the target's bounding box, whose first cell is at `origin`
     of an image of `shape` (by default `box`'s, so `LabelMap(labels, n)`
     maps a whole label image). The tables are built on `box` at image
-    positions: off it, as off the image, no cell is a target cell. The
-    image-sized `labels` is pasted on first read.
+    positions: off it, as off the image, no cell is a target cell. Each is
+    built from this map alone and keeps no reference to it.
     """
 
     box: np.ndarray = field(repr=False)
@@ -114,15 +114,6 @@ class LabelMap:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", self.shape or self.box.shape)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """The image-sized label array: `box` at `origin`, 0 elsewhere."""
-        labels = np.zeros(self.shape, dtype=self.box.dtype)
-        (r, c), (h, w) = self.origin, self.box.shape
-        labels[r : r + h, c : c + w] = self.box
-        labels.setflags(write=False)
-        return labels
 
     @cached_property
     def slices(self) -> list[tuple[slice, slice]]:
@@ -136,12 +127,12 @@ class LabelMap:
         """Census and validity of every component, a `corners.ComponentTable`."""
         from .corners import ComponentTable  # corners imports this module
 
-        return ComponentTable(self.box, self.component_count, self.origin)
+        return ComponentTable(self)
 
     @cached_property
     def complements(self) -> tuple[np.ndarray, np.ndarray]:
         """Hole regions of every component from one labelling (`hole_regions`) of `box`."""
-        return hole_regions(self.box, self.component_count, self.table)
+        return hole_regions(self)
 
     @cached_property
     def hole_counts(self) -> list[int]:
@@ -153,14 +144,14 @@ class LabelMap:
         """Contours of every component, a `curves.CurveTable`."""
         from .curves import CurveTable  # curves imports this module
 
-        return CurveTable(self.box, self.component_count, self.table, self.complements, self.origin)
+        return CurveTable(self)
 
     @cached_property
     def surface(self):
         """Doubled-surface census of every component, a `solid3d.SurfaceTable`."""
         from .solid3d import SurfaceTable  # solid3d imports this module
 
-        return SurfaceTable(self.box, self.component_count, self.table)
+        return SurfaceTable(self)
 
     def points_of(self, component_id: int) -> frozenset[Point2]:
         return frozenset(map(tuple, np.argwhere(self.mask_of(component_id)).tolist()))
@@ -198,26 +189,27 @@ def label_components(g: BinaryGrid, target: str = "foreground") -> LabelMap:
     return LabelMap(labels, n, (rows.start, cols.start), mask.shape)
 
 
-def hole_regions(labels: np.ndarray, n: int, table) -> tuple[np.ndarray, np.ndarray]:
-    """The enclosed complement regions of every component, from one labelling.
+def hole_regions(labels: LabelMap) -> tuple[np.ndarray, np.ndarray]:
+    """The enclosed complement regions of every component of a map, from one labelling.
 
-    Only the boundary cells of `table`, `labels`' `corners.ComponentTable`,
-    matter: the others have no background 4-neighbour, so they border no
-    complement region. Each label's box, the table's, grown by a background
-    ring, is placed on one canvas that holds only that component's boundary
-    cells: shelves of boxes, tallest first, each shelf as tall as its first
-    box, filled by one scatter of those cells. The canvas complement is
-    labelled once, 4-connected. Each shelf's top and bottom rows are rings
-    or free canvas, so all rings and free canvas are region 1. Every other
-    region lies in one box, whose scan order the move kept, and is either
-    one that `holes_in_mask` counts for that component alone or one of
-    cells left off, which starts on a foreground cell. Returns each label's
-    hole count (index 0 unused) and the holes' first cells in scan order,
-    grouped by label, as positions in `labels`.
+    Only the boundary cells of the map's `table` matter: the others have no
+    background 4-neighbour, so they border no complement region. Each
+    label's box, the table's, grown by a background ring, is placed on one
+    canvas that holds only that component's boundary cells: shelves of
+    boxes, tallest first, each shelf as tall as its first box, filled by one
+    scatter of those cells. The canvas complement is labelled once,
+    4-connected. Each shelf's top and bottom rows are rings or free canvas,
+    so all rings and free canvas are region 1. Every other region lies in
+    one box, whose scan order the move kept, and is either one that
+    `holes_in_mask` counts for that component alone or one of cells left
+    off, which starts on a foreground cell. Returns each label's hole count
+    (index 0 unused) and the holes' first cells in scan order, grouped by
+    label, as positions in the map's `box`.
     """
+    box, n, table = labels.box, labels.component_count, labels.table
     if not n:
         return np.zeros(1, dtype=np.intp), np.zeros((0, 2), dtype=np.intp)
-    at, rows, own, low, high = table.cells, table.rows, table.own, table.low, table.high
+    at, own, low, high = table.cells, table.own, table.low, table.high
     order = np.argsort(low[:, 0] - high[:, 0], kind="stable")
     h, w = (high[order] - low[order] + 3).T
     # One row of boxes, cut into shelves about as long as the canvas is tall.
@@ -226,11 +218,11 @@ def hole_regions(labels: np.ndarray, n: int, table) -> tuple[np.ndarray, np.ndar
     shelf = np.cumsum(new) - 1
     left = run - run[new][shelf]
     tops = np.cumsum(h[new]) - h[new]
-    shift = np.zeros((n + 1, 2), dtype=np.intp)  # canvas minus image position
+    shift = np.zeros((n + 1, 2), dtype=np.intp)  # canvas minus box position
     shift[order + 1] = np.stack([tops[shelf], left], axis=1) + 1 - low[order]
-    canvas = np.zeros((h[new].sum(), (left + w).max()), dtype=labels.dtype)
+    canvas = np.zeros((h[new].sum(), (left + w).max()), dtype=box.dtype)
     width = canvas.shape[1]
-    canvas.ravel()[at + rows * (width - labels.shape[1]) + (shift @ (width, 1))[own]] = own
+    canvas.ravel()[at + at // box.shape[1] * (width - box.shape[1]) + (shift @ (width, 1))[own]] = own
     free = canvas == 0
     regions = label_mask(free)[0]
     # A region's first cell has no cell of its region above it; ids number
@@ -243,7 +235,7 @@ def hole_regions(labels: np.ndarray, n: int, table) -> tuple[np.ndarray, np.ndar
     cells = np.stack(divmod(first, width), axis=1) - shift[owner]
     # A hole starts on background: a cell of another component there would
     # touch the one above and share its label.
-    hole = labels[cells[:, 0], cells[:, 1]] == 0
+    hole = box[cells[:, 0], cells[:, 1]] == 0
     owner, cells = owner[hole], cells[hole]
     return np.bincount(owner, minlength=n + 1), cells[np.argsort(owner, kind="stable")]
 

@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import EmptyComponentError, InvalidSurfaceError, MultipleSurfaceComponentsError, ThinSolidError
 from .grid import BinaryGrid
-from .corners import ComponentContext
-from .labeling import label_mask, label_runs
+from .corners import TILES, ComponentContext
+from .labeling import LabelMap, label_mask, label_runs
 
 Point3 = tuple[int, int, int]
 Face = tuple[Point3, int]
@@ -289,9 +289,9 @@ def _component_chis(sc: SurfaceComplex, labels: np.ndarray, n: int) -> list[int]
 class SurfaceTable:
     """Surface census and Euler characteristic of every component's doubled
     solid, whose surface is found as `extract_surface` finds it, read from
-    `table`, the `corners.ComponentTable` of a `LabelMap`'s box `labels`.
-    Row `cid` of `points` counts its points by class, 1..6 on the surface;
-    of `genus`, (2 - (V - E + F)) / 2.
+    the `table` of a `LabelMap`, the `corners.ComponentTable` of its `box`;
+    no reference to the map is kept. Row `cid` of `points` counts its points
+    by class, 1..6 on the surface; of `genus`, (2 - (V - E + F)) / 2.
 
     Each surface cell is credited to its minimum corner's pixel p. It lies
     in the cubes at p + {-1, 0}^2, so p's 3 x 3 code decides it
@@ -308,22 +308,24 @@ class SurfaceTable:
     R x [1, 2] is connected iff R, the union of the cubes seen from above,
     is, so one 4-connected labeling of the cubes counts pieces: cubes that
     meet only at a corner share an edge of 4 faces, not clean. Each piece's
-    label is read at the boundary pixels with a cube at their top left (code
-    bits 5, 7 and 8): its first cube has one there, since an interior pixel
-    would have a cube above it, in the same piece.
+    label is read at the boundary pixels with a cube at their top left (a
+    tile set at E, S and SE): its first cube has one there, since an
+    interior pixel would have a cube above it, in the same piece.
     """
 
-    def __init__(self, labels: np.ndarray, n: int, table):
+    def __init__(self, labels: LabelMap):
+        table, n = labels.table, labels.component_count
         (credits, kind), own, code = _pixel_table(), table.own, table.code
         tally = np.bincount(own * len(credits) + kind[code], minlength=(n + 1) * len(credits)).reshape(n + 1, -1)
         self.points = tally @ np.eye(7, dtype=np.intp)[credits[:, :2]].sum(axis=1)
         self.points[:, 4] += 2 * (table.area - table.classes.sum(axis=1))
         self.genus = (2 - tally @ credits[:, 2]) // 2
-        fg = labels != 0
+        fg = labels.box != 0
         pieces, count = label_mask(fg[:-1, :-1] & fg[1:, :-1] & fg[:-1, 1:] & fg[1:, 1:])
-        corner = code & 0b110100000 == 0b110100000  # a cube at the top left
+        corner = TILES[:, 1:, 1:].all(axis=(1, 2)).take(code)  # a cube at the top left
+        at = table.cells[corner]  # less its row, its position in the one cell narrower map of cubes
         owner = np.zeros(count + 1, dtype=np.intp)
-        owner[pieces.ravel()[(table.cells - table.rows)[corner]]] = own[corner]
+        owner[pieces.ravel()[at - at // fg.shape[1]]] = own[corner]
         self.clean = np.bincount(owner[1:], minlength=n + 1) == 1
         self.clean &= ~self.points[:, 1:3].any(axis=1) & (tally @ credits[:, 3] == 0)
 
@@ -331,11 +333,11 @@ class SurfaceTable:
 @cache
 def _pixel_table() -> tuple[np.ndarray, np.ndarray]:
     """The distinct credits of a pixel, one per row, and each 3 x 3 foreground
-    code's row (bit 3 * i + j: the pixel i - 1 rows and j - 1 columns away):
-    its point's class on each layer, the V - E + F of the cells whose minimum
-    corner it is, and 1 if one is an edge in other than 0 or 2 faces. Built
-    on first use by the array code above, on a doubled strip of 5 x 5 tiles."""
-    tiles = np.pad((np.arange(512)[:, None] >> np.arange(9) & 1).reshape(512, 3, 3), ((0, 0), (1, 1), (1, 1))) != 0
+    code's row (its tile, `corners.TILES`): its point's class on each layer,
+    the V - E + F of the cells whose minimum corner it is, and 1 if one is an
+    edge in other than 0 or 2 faces. Built on first use by the array code
+    above, on a doubled strip of the tiles grown by a background ring."""
+    tiles = np.pad(TILES, ((0, 0), (1, 1), (1, 1)))
     _, faces = _cubes_and_faces(np.repeat(tiles.transpose(1, 0, 2).reshape(1, 5, 2560), 2, axis=0))
     degree, edge_cells, vertex_class = _edges_and_points(faces)
     at = (slice(None), 2, slice(2, None, 5))  # each tile's centre, on every layer

@@ -339,8 +339,8 @@ def test_genus3d_failed_check_exit_2(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "m7.txt", _M7.strip() + "\n")
     real = cli.solid3d.SurfaceTable.__init__
 
-    def tampered(self, labels, n, table):
-        real(self, labels, n, table)
+    def tampered(self, labels):
+        real(self, labels)
         self.genus = np.full_like(self.genus, 7)
 
     monkeypatch.setattr(cli.solid3d.SurfaceTable, "__init__", tampered)
@@ -375,9 +375,9 @@ def _tamper_row_2(monkeypatch, cls, column):
     """Row 2 of `cls`'s `column` is False in every table of three rows."""
     real = cls.__init__
 
-    def tampered(self, labels, n, *args):
-        real(self, labels, n, *args)
-        if n == 3:
+    def tampered(self, labels):
+        real(self, labels)
+        if labels.component_count == 3:
             getattr(self, column)[2] = False
 
     monkeypatch.setattr(cls, "__init__", tampered)

@@ -10,9 +10,11 @@ of the whole padded image.
 """
 
 import contextlib
+import gc
 import io
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -226,7 +228,8 @@ def test_label_context_matches_a_context_of_its_mask(g):
         alone = corners.ComponentContext.of(g, labels.mask_of(cid))
         assert not {"mask", "complement", "direct", "boundary"} & set(vars(ctx))
         assert np.array_equal(ctx.mask, alone.mask)
-        assert (ctx.offset, ctx.area, ctx.census) == (alone.offset, alone.area, alone.census)
+        census, alone_census = ctx.labels.table.censuses[cid], alone.labels.table.censuses[alone.cid]
+        assert (ctx.offset, ctx.area, census) == (alone.offset, alone.area, alone_census)
         assert np.array_equal(ctx.direct[ctx.crop], alone.direct[alone.crop])
         assert np.array_equal(ctx.boundary, alone.boundary)
         (regions, n), (alone_regions, alone_n) = ctx.complement, alone.complement
@@ -317,7 +320,7 @@ def test_table_matches_each_component_alone(g):
     table = labels.table
     for cid, (record, reasons, classes, _) in enumerate(reference(g), start=1):
         mask = labels.mask_of(cid)
-        census = table.census(cid)
+        census = table.censuses[cid]
         assert census == hc.classify_corners(g, mask).census
         assert (census.c2, census.c3, census.c4) == (record["c2"], record["c3"], record["c4"])
         assert census.boundary_total == len(classes)
@@ -630,9 +633,25 @@ def test_context_arrays_are_cropped():
 
 def test_label_map_has_no_point_sets(m7):
     lm = hc.label_components(hc.pad_background(m7, 2), "foreground")
-    assert set(vars(lm)) <= {"box", "origin", "shape", "labels", "component_count", "slices"}
+    assert set(vars(lm)) <= {"box", "origin", "shape", "component_count", "slices"}
     assert lm.points_of(1) == hc.pad_background(m7, 2).foreground_points()
-    assert lm.mask_of(1).shape == lm.labels.shape
+    assert lm.mask_of(1).shape == lm.shape == hc.pad_background(m7, 2).cells.shape
+
+
+def test_tables_keep_no_reference_to_their_map(m7):
+    """Each table is built from its `LabelMap` alone and keeps no reference
+    to it, so no table -> map -> table cycle outlives a request: with the
+    cycle collector off, dropping the map frees it while its tables live."""
+    lm = hc.label_components(hc.pad_background(m7, 2))
+    tables = [lm.table, lm.complements, lm.curves, lm.surface]
+    ref = weakref.ref(lm)
+    gc.disable()
+    try:
+        del lm
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert tables[1][0].tolist() == [0, 1]  # the mosaic's hole counts
 
 
 SQUARE = hc.grid_from_rows(["111", "111", "111"])

@@ -239,8 +239,8 @@ def test_label_runs_is_ndimage_label_in_2d(mask):
     `LabelMap` are `find_objects`' (which has no answer for zero-size arrays)."""
     assert_labels_as_ndimage(mask)
     if mask.size:
-        labels = LabelMap(*label_mask(mask))
-        assert labels.slices == ndimage.find_objects(labels.labels)
+        labels = LabelMap(*label_mask(mask))  # of the whole mask: its box is the image
+        assert labels.slices == ndimage.find_objects(labels.box)
 
 
 def hollow_cubes(k):

@@ -9,7 +9,8 @@ doubling the whole foreground (`doubled_table`, the package's earlier
 `SurfaceTable`), and the 3 x 3 table must be the 3D array code's own. The
 columns the surface reads from `ComponentTable` (each boundary cell's
 own-label 3 x 3 code, each label's box and area) must equal what
-separate reads of the label image give.
+separate reads of the label image give. On every 4 x 4 image, the corner,
+mosaic, contour and surface tables must give each valid row one count.
 """
 
 import json
@@ -184,7 +185,7 @@ def test_component_table_columns_match_separate_reads(g):
     fg = box != 0
     boundary = fg & ~ndimage.binary_erosion(fg, np.ones((3, 3)), border_value=0)
     assert np.array_equal(table.cells, np.flatnonzero(boundary))
-    assert np.array_equal(table.rows, table.cells // box.shape[1])
+    assert np.array_equal(divmod(table.cells, box.shape[1]), np.nonzero(boundary))
     assert np.array_equal(table.own, box.ravel()[table.cells])
     same = own_label_reads(box, table.cells)
     assert np.array_equal(table.code, (1 << np.arange(9)) @ same.reshape(9, -1))
@@ -216,12 +217,44 @@ def test_table_matches_the_doubled_box(g):
     assert_doubled_table(g)
 
 
-def test_every_4x4_image_matches_the_doubled_box():
-    """All 65,536 4 x 4 images in one label image, one background row and
-    column between tiles: every row of the 3 x 3 table is the doubled box's."""
+def every_4x4_image():
+    """All 65,536 4 x 4 images in one grid, one background row and column
+    between tiles."""
     tiles = np.zeros((256, 256, 5, 5), dtype=bool)
     tiles[:, :, :4, :4] = (np.arange(65536)[:, None] >> np.arange(16) & 1).reshape(256, 256, 4, 4)
-    assert_doubled_table(hc.BinaryGrid(tiles.transpose(0, 2, 1, 3).reshape(1280, 1280)))
+    return hc.BinaryGrid(tiles.transpose(0, 2, 1, 3).reshape(1280, 1280))
+
+
+def test_every_4x4_image_matches_the_doubled_box():
+    """Every row of the 3 x 3 table is the doubled box's."""
+    assert_doubled_table(every_4x4_image())
+
+
+def test_every_4x4_image_gets_one_count_from_every_table():
+    """The four tables of the 4 x 4 tiling, 168,529 components, checked
+    against each other. A row is valid exactly when its contours partition
+    its boundary. On each of the 1,898 valid rows the surface is clean, both
+    formulas divide, and the corner formula, the mosaic's count, the hole
+    contours, the formula genus and the Euler genus are one number (0: no
+    valid 4 x 4 component has a hole, which needs a 5 x 5 box)."""
+    labels = hc.label_components(every_4x4_image())
+    table, curves, surface = labels.table, labels.curves, labels.surface
+    assert (labels.component_count, np.count_nonzero(table.valid[1:])) == (168529, 1898)
+    assert np.array_equal(table.valid, curves.ok)
+    rows = np.flatnonzero(table.valid[1:]) + 1
+    assert surface.clean[rows].all()
+    c2, c4 = table.classes[rows, 2], table.classes[rows, 4]
+    m3, m5, m6 = surface.points[rows][:, [3, 5, 6]].T
+    assert not ((c4 - c2) % 4).any() and not ((m5 + 2 * m6 - m3) % 8).any()
+    formula = 1 + (c4 - c2) // 4
+    counts = {
+        "mosaic": np.array(labels.hole_counts)[rows],
+        "hole contours": np.diff(curves.rows)[rows] - 1,
+        "formula genus": 1 + (m5 + 2 * m6 - m3) // 8,
+        "Euler genus": surface.genus[rows],
+    }
+    for name, count in counts.items():
+        assert np.array_equal(count, formula), name
 
 
 def test_pixel_table_is_the_constructions_own():
