@@ -22,6 +22,7 @@ from .labeling import label_components
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DISAGREEMENT = 2
+_FLAGGED = "component %d: flagged by the image's tables, but its own checks pass"
 
 
 def _read_input(path: str) -> bytes:
@@ -70,9 +71,11 @@ def cmd_analyze(args) -> int:
             d = rep.to_dict()
             cid = d.pop("component_id")
             print(f"component {cid}: " + " ".join(f"{k}={v}" for k, v in d.items()))
-    if any(rep.agreement is False for rep in reports):
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+    valid = reports[0].classification.context.labels.table.valid if reports else None
+    flagged = [cid for cid, rep in enumerate(reports, 1) if rep.validity and rep.validity.valid and not valid[cid]]
+    for cid in flagged:
+        print(_FLAGGED % cid, file=sys.stderr)
+    return EXIT_DISAGREEMENT if flagged or any(rep.agreement is False for rep in reports) else EXIT_OK
 
 
 def _stop(g, labels, cid: int, check) -> int:
@@ -94,7 +97,7 @@ def _stop(g, labels, cid: int, check) -> int:
         except HolecountError as exc:
             print(f"component {cid}: {exc}", file=sys.stderr)
             return EXIT_INPUT
-    print(f"component {cid}: flagged by the image's tables, but its own checks pass", file=sys.stderr)
+    print(_FLAGGED % cid, file=sys.stderr)
     return EXIT_DISAGREEMENT
 
 
@@ -283,22 +286,19 @@ def census_path(g: grid.BinaryGrid) -> tuple[int | None, int]:
 
 
 def oracle_path(g: grid.BinaryGrid) -> tuple[int, int]:
-    """Holes of a single-component image by complement labeling.
+    """Holes of a single-component image by complement labeling, summed
+    from the image's mosaic (`labeling.hole_regions`).
 
     Returns (holes, pixel_touches). The touch count is a model, not a
-    measurement: it adds up the array passes performed, 5 per cell per
-    4-connected labeling (the cell plus the structuring element's reads)
-    and 1 per cell per other pass over a component's crop (cutting it out,
-    copying it into its background ring, summing its area, negating it).
+    measurement, of labelling each component's box grown by a background
+    ring alone: 5 per cell per 4-connected labeling (the cell plus the
+    structuring element's reads) of the image and of each ringed box, and 1
+    per ringed cell per other pass (cutting the box out, copying it into its
+    ring, summing its area, negating it).
     """
     labels = label_components(g, "foreground")
-    touches = 5 * g.cells.size
-    total = 0
-    for cid in range(1, labels.component_count + 1):
-        ctx = corners.ComponentContext.of_label(labels, cid)
-        total += ctx.complement[1] - 1  # the crop's own labeling, which the model counts
-        touches += (4 + 5) * ctx.mask.size
-    return total, touches
+    ringed = np.prod(labels.table.high - labels.table.low + 3, axis=1)
+    return sum(labels.hole_counts[1:]), 5 * g.cells.size + (4 + 5) * int(ringed.sum())
 
 
 def cmd_bench(args) -> int:

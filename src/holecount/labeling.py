@@ -248,32 +248,27 @@ def holes_in_mask(mask) -> int:
     region other than the unbounded one counts as a hole. The mask may be
     any 2D array-like of truth values, or a `corners.ComponentContext`. A
     context reads its row of its `LabelMap`'s `hole_counts`, from the mosaic
-    (`hole_regions`) that counts the same regions; an array labels its
-    complement, the reference the mosaic is tested against.
+    (`hole_regions`) that counts the same regions; an array labels its own
+    ringed crop's complement, the reference the mosaic is tested against.
     """
     labels = getattr(mask, "labels", None)
     if isinstance(labels, LabelMap):
         return labels.hole_counts[mask.cid]
-    from .corners import ComponentContext  # corners imports this module
+    mask = np.asarray(mask, dtype=bool)
+    return label_mask(~np.pad(mask[bounding_box(mask)], [(1, 1)] * 2))[1] - 1  # a 2D ring: refuses other shapes
 
-    return ComponentContext.of(None, np.asarray(mask, dtype=bool)).complement[1] - 1
 
-
-def count_holes_oracle(g: BinaryGrid, component_id: int, labels: LabelMap | None = None) -> int:
+def count_holes_oracle(g: BinaryGrid, component_id: int) -> int:
     """Brute-force hole count of one foreground component.
 
-    Counts the enclosed complement regions of that component alone (see
-    `holes_in_mask`), so other foreground components can neither merge nor
-    split them. A component touching the image border is refused.
+    Reads the enclosed complement regions of that component alone from the
+    image's mosaic (see `holes_in_mask`), so other foreground components can
+    neither merge nor split them. A component touching the border is refused.
     """
-    from .corners import ComponentContext  # corners imports this module
-
-    if labels is None:
-        labels = label_components(g, "foreground")
-    ctx = ComponentContext.of_label(labels, component_id)
+    labels = label_components(g, "foreground")
+    if not 1 <= component_id <= labels.component_count:
+        raise UnknownComponentError(f"component {component_id} not in 1..{labels.component_count}")
     rows, cols = labels.slices[component_id - 1]
     if 0 in (rows.start, cols.start) or rows.stop == g.height or cols.stop == g.width:
-        raise BorderContactError(
-            f"component {component_id} touches the image border; pad_background first"
-        )
-    return holes_in_mask(ctx)
+        raise BorderContactError(f"component {component_id} touches the image border; pad_background first")
+    return labels.hole_counts[component_id]

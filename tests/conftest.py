@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from holecount import gen
+from holecount.grid import BinaryGrid
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +23,15 @@ def m7(fixtures):
 @pytest.fixture(scope="session")
 def m6_annotations(fixtures):
     return fixtures["m6_annotations"]
+
+
+@pytest.fixture(scope="session")
+def every_4x4_image():
+    """All 65,536 4 x 4 images in one grid, one background row and column
+    between tiles."""
+    tiles = np.zeros((256, 256, 5, 5), dtype=bool)
+    tiles[:, :, :4, :4] = (np.arange(65536)[:, None] >> np.arange(16) & 1).reshape(256, 256, 4, 4)
+    return BinaryGrid(tiles.transpose(0, 2, 1, 3).reshape(1280, 1280))
 
 
 def make_shape_suite(count):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import holecount as hc
-from holecount import cli
+from holecount import cli, corners, labeling
 from holecount.gen import _M5, _M6, _M7
 
 
@@ -405,6 +405,46 @@ def test_genus3d_stop_rule_disagreement_exit_2(tmp_path, capsys, monkeypatch):
     assert (code, out) == (cli.EXIT_DISAGREEMENT, "")
     assert err == "component 2: flagged by the image's tables, but its own checks pass\n"
     assert len(extracted) == 1
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_analyze_stop_rule_disagreement_exit_2(tmp_path, capsys, monkeypatch, output):
+    # Component 2 is flagged invalid but has no validity reason: its row is
+    # printed as it is, and the disagreement is named on stderr.
+    path = write(tmp_path, "three.txt", "\n".join(THREE) + "\n")
+    argv = ["analyze", path, "--output", output]
+    code, plain, err = run_cli(capsys, *argv)
+    assert (code, err) == (cli.EXIT_OK, "")
+    _tamper_row_2(monkeypatch, cli.corners.ComponentTable, "valid")
+    assert run_cli(capsys, *argv) == (
+        cli.EXIT_DISAGREEMENT, plain, "component 2: flagged by the image's tables, but its own checks pass\n"
+    )
+    assert run_cli(capsys, *argv, "--validate", "off")[::2] == (cli.EXIT_OK, "")
+
+
+def test_bench_oracle_reads_the_mosaic(monkeypatch):
+    """`oracle_path` on a 2 x 3 tile of squares with one hole each: two
+    labellings (the image's box and the mosaic), no component cut out, and
+    the touch model's figures, 5 per image cell and 9 per ringed box cell."""
+    calls = {"label_mask": 0, "mask_of": 0, "contexts": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module in (labeling, corners):
+        monkeypatch.setattr(module, "label_mask", counted("label_mask", module.label_mask))
+    monkeypatch.setattr(labeling.LabelMap, "mask_of", counted("mask_of", labeling.LabelMap.mask_of))
+    context = corners.ComponentContext.__init__
+    monkeypatch.setattr(corners.ComponentContext, "__init__", counted("contexts", context))
+    square = np.pad(np.ones((5, 5), dtype=bool), 1)
+    square[3, 3] = False
+    g = hc.BinaryGrid(np.tile(square, (2, 3)))
+    assert cli.oracle_path(g) == (6, 5 * 14 * 21 + 9 * 6 * 7 * 7)
+    assert calls == {"label_mask": 2, "mask_of": 0, "contexts": 0}
 
 
 # Two components, one with two holes and one with none.

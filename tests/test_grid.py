@@ -83,6 +83,8 @@ def test_parse_ascii01_errors():
         hc.parse_image("0x\n", "ascii01")
     with pytest.raises(ParseError):
         hc.parse_image("", "ascii01")
+    with pytest.raises(ValueError, match="^unknown format 'png'$"):
+        hc.parse_image(b"01\n", "png")
 
 
 @settings(max_examples=50)
@@ -157,6 +159,8 @@ def test_neighbors_out_of_bounds():
     g = hc.BinaryGrid(np.zeros((3, 3), dtype=bool))
     with pytest.raises(OutOfBoundsError):
         hc.neighbors(g, (3, 0), "direct")
+    with pytest.raises(ValueError, match="^unknown mode 'diagonal'$"):
+        hc.neighbors(g, (0, 0), "diagonal")
 
 
 @settings(max_examples=30)
@@ -169,6 +173,12 @@ def test_neighbor_containment_property(cells, data):
     indirect = hc.neighbors(g, (r, c), "indirect")
     assert direct <= indirect
     assert len(direct) <= 4 and len(indirect) <= 8
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (0, 3)])
+def test_grid_must_be_2d_and_nonempty(shape):
+    with pytest.raises(ValueError, match=r"^grid shape must be 2D and nonempty, got \("):
+        hc.BinaryGrid(np.ones(shape, dtype=bool))
 
 
 def test_grid_is_immutable(m5):

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 import holecount as hc
+from holecount import corners
 from holecount.errors import BorderContactError, UnknownComponentError
 from holecount.labeling import LabelMap, holes_in_mask, label_mask, label_runs
 
@@ -72,6 +73,8 @@ def test_background_labeling_mode(m7):
     lm = hc.label_components(hc.pad_background(m7, 1), "background")
     # Unbounded region plus the one cavity.
     assert lm.component_count == 2
+    with pytest.raises(ValueError, match="^unknown target 'edges'$"):
+        hc.label_components(m7, "edges")
 
 
 def test_unknown_component_id(m5):
@@ -157,13 +160,17 @@ def test_oracle_translation_and_padding_invariance(m7, margin, shift):
     assert hc.count_holes_oracle(g, 1) == 1
 
 
-def test_holes_in_mask_matches_oracle(m5, m7):
+def test_holes_in_mask_matches_oracle(m5, m7, monkeypatch):
+    # An array labels its own ringed crop: no component context is built.
+    monkeypatch.setattr(corners.ComponentContext, "__init__", lambda *a: pytest.fail("context built"))
     assert holes_in_mask(m5.cells) == 0
     assert holes_in_mask(m7.cells) == 1
     # Any 2D array-like is a mask, nested lists included.
     assert holes_in_mask(m7.cells.tolist()) == 1
     assert holes_in_mask([[1, 1, 1, 1], [1, 0, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]]) == 1
     assert holes_in_mask([[1, 1, 1], [1, 0, 1], [1, 1, 1]]) == 1
+    with pytest.raises(ValueError):  # no 2D ring fits a 3D mask
+        holes_in_mask(np.ones((3, 3, 3), dtype=bool))
 
 
 def rings(k):

@@ -217,27 +217,19 @@ def test_table_matches_the_doubled_box(g):
     assert_doubled_table(g)
 
 
-def every_4x4_image():
-    """All 65,536 4 x 4 images in one grid, one background row and column
-    between tiles."""
-    tiles = np.zeros((256, 256, 5, 5), dtype=bool)
-    tiles[:, :, :4, :4] = (np.arange(65536)[:, None] >> np.arange(16) & 1).reshape(256, 256, 4, 4)
-    return hc.BinaryGrid(tiles.transpose(0, 2, 1, 3).reshape(1280, 1280))
-
-
-def test_every_4x4_image_matches_the_doubled_box():
+def test_every_4x4_image_matches_the_doubled_box(every_4x4_image):
     """Every row of the 3 x 3 table is the doubled box's."""
-    assert_doubled_table(every_4x4_image())
+    assert_doubled_table(every_4x4_image)
 
 
-def test_every_4x4_image_gets_one_count_from_every_table():
+def test_every_4x4_image_gets_one_count_from_every_table(every_4x4_image):
     """The four tables of the 4 x 4 tiling, 168,529 components, checked
     against each other. A row is valid exactly when its contours partition
     its boundary. On each of the 1,898 valid rows the surface is clean, both
     formulas divide, and the corner formula, the mosaic's count, the hole
     contours, the formula genus and the Euler genus are one number (0: no
     valid 4 x 4 component has a hole, which needs a 5 x 5 box)."""
-    labels = hc.label_components(every_4x4_image())
+    labels = hc.label_components(every_4x4_image)
     table, curves, surface = labels.table, labels.curves, labels.surface
     assert (labels.component_count, np.count_nonzero(table.valid[1:])) == (168529, 1898)
     assert np.array_equal(table.valid, curves.ok)
