@@ -98,19 +98,19 @@ class CurveTable:
     the cell above its region's first cell (the map's `complements`, from
     `labeling.hole_regions`) heading W; a walk ends at its own start, as a
     walk one step at a time does. Pointer jumping walks every contour at
-    once: while `jumps[j]` takes 2^j steps, the first 2^j states of each
-    unfinished contour give its next 2^j, up to any start cell. A walk
-    stopped at another contour's start goes on from there in a further
-    round, which only a component whose contours meet needs; a walk is cut
-    at 4 steps per boundary cell, since a longer one cycles. Row `cid` is
-    `ok` when each of its walks ends where it started and its contours visit
-    each of its boundary cells once; otherwise `fault` names where they
-    fail. `points` holds every contour's cells in order, at image positions:
-    row `cid` has contours `rows[cid]` to `rows[cid + 1]`, the outer one
-    first, and contour i the points `begin[i]` to `begin[i + 1]`, with cp2,
-    cp3 and cp4 `census[i]`. A row with a thin point is not walked: it is
-    not `ok`, and its contours have no points. Of the map, only its `table`,
-    the `corners.ComponentTable` whose classes `accounting` reads, is kept."""
+    once: while a jump takes 2^j steps, the first 2^j states of each
+    unfinished contour give its next 2^j, up to the first on its own start
+    cell; it passes other contours' starts, as where contours meet. A walk
+    is cut at 4 steps per boundary cell, since a longer one cycles. Row
+    `cid` is `ok` when each of its walks ends where it started and its
+    contours visit each of its boundary cells once; otherwise `fault` names
+    where they fail. `points` holds every contour's cells in order, at image
+    positions: row `cid` has contours `rows[cid]` to `rows[cid + 1]`, the
+    outer one first, and contour i the points `begin[i]` to `begin[i + 1]`,
+    with cp2, cp3 and cp4 `census[i]`. A row with a thin point is not
+    walked: it is not `ok`, and its contours have no points. Of the map,
+    only its `table`, the `corners.ComponentTable` whose classes
+    `accounting` reads, is kept."""
 
     def __init__(self, labels: LabelMap):
         table, n, width = labels.table, labels.component_count, labels.box.shape[1]
@@ -142,41 +142,29 @@ class CurveTable:
         # Labels number components by first cell, a boundary cell.
         head[outer & ~thin[label]] = np.flatnonzero(np.diff(np.maximum.accumulate(own), prepend=0))
         head[~outer] = number[firsts @ (width, 1) - width]  # the cell above
-        ends = np.zeros(count + 1, dtype=bool)
-        ends[head] = ends[count] = True
-        ends = np.repeat(ends, 4)[: sink + 1]
 
-        # Each round records every live contour's state `end` at step `length`
-        # of its walk, then walks on to a start cell. A walk stopped at another
-        # contour's start lives on, which only contours that meet need, so
-        # `jumps[j]`, which takes 2^j steps, is kept from the second round on.
-        # A walk longer than the states cycles, so it stops.
-        end, length = 4 * head + np.where(outer, 1, 3), np.zeros(outer.size, dtype=np.intp)
-        live, walked = np.flatnonzero(head < count), [[np.zeros(0, dtype=np.intp)] * 3]  # none on an empty image
-        jumps = [np.where(ends, np.arange(sink + 1, dtype=np.int32), succ)]
-        while live.size:
-            after, rounds = succ[end[live]], len(walked)
-            walked.append([end[live], live, length[live]])
-            go = ~ends[after]
-            end[live[~go]] = after[~go]
-            front, j, jump = [after[go], live[go], length[live[go]] + 1], 0, jumps[0]
-            walked.append(front)
-            while front[0].size and 1 << j <= sink:  # each unfinished contour's next 2^j states
-                state, contour, at = front
-                span, ahead = 1 << j, jump.take(state)
-                go = ~ends.take(ahead)
-                end[contour[~go]] = ahead[~go]
-                walked.append([ahead[go], contour[go], at[go] + span])
-                on = np.bincount(contour[~go], minlength=outer.size)[contour] == 0
-                front = [np.concatenate([v[on], w[on]]) for v, w in zip(front, [ahead, contour, at + span])]
-                j += 1
-                jump = jumps[j] if j < len(jumps) else jump.take(jump)  # `take`: as subscripts, int32 indices are slow
-                if j == len(jumps) and rounds > 1:
-                    jumps.append(jump)
-            end[front[1]] = sink
-            length += np.bincount(np.concatenate([w[1] for w in walked[rounds:]]), minlength=outer.size)
-            live = live[(end[live] >> 2 != head[live]) & (end[live] < sink) & (length[live] <= sink)]
+        # `front` holds each unfinished contour's states at steps 0 to 2^j - 1, and `jump`, which
+        # takes 2^j steps, gives its next 2^j. A walk stops at its first step onto its own start
+        # cell or the sink, in state `end`, and keeps the steps before; it passes other contours'
+        # starts. One that has not stopped after a step per state cycles, so it is cut.
+        live = np.flatnonzero(head < count)
+        front = [4 * head[live] + np.where(outer[live], 1, 3), live, np.zeros(live.size, dtype=np.intp)]
+        walked, jump, span = [front], succ, 1
+        stop, end = np.full(outer.size, sink + 1), np.full(outer.size, sink)  # sink + 1: not stopped
+        while front[0].size and span <= sink:
+            state, contour, at = front
+            ahead, at = jump.take(state), at + span  # `take`: as subscripts, int32 indices are slow
+            hit = (ahead >> 2 == head[contour]) | (ahead == sink)
+            np.minimum.at(stop, contour[hit], at[hit])
+            last = stop[contour]
+            done, kept = at == last, at < last
+            end[contour[done]] = ahead[done]
+            walked.append([ahead[kept], contour[kept], at[kept]])
+            on = last > sink
+            front = [np.concatenate([v[on], w[on]]) for v, w in zip(front, [ahead, contour, at])]
+            jump, span = jump.take(jump), 2 * span
         state, contour, at = (np.concatenate(v) for v in zip(*walked))
+        length = np.bincount(contour, minlength=outer.size)
         begin = np.cumsum(length) - length
         path = np.empty(length.sum(), dtype=np.intp)
         path[begin[contour] + at] = state >> 2

@@ -255,7 +255,9 @@ def holes_in_mask(mask) -> int:
     if isinstance(labels, LabelMap):
         return labels.hole_counts[mask.cid]
     mask = np.asarray(mask, dtype=bool)
-    return label_mask(~np.pad(mask[bounding_box(mask)], [(1, 1)] * 2))[1] - 1  # a 2D ring: refuses other shapes
+    if mask.ndim != 2:
+        raise ValueError(f"mask must be 2D, got shape {mask.shape}")
+    return label_mask(~np.pad(mask[bounding_box(mask)], 1))[1] - 1
 
 
 def count_holes_oracle(g: BinaryGrid, component_id: int) -> int:

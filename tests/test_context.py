@@ -705,6 +705,13 @@ def many_holes(rows, cols):
     return arr
 
 
+def hole_grid(k):
+    """A square with k x k 3 x 3 holes behind 1-cell walls."""
+    arr = np.ones((4 * k + 1, 4 * k + 1), dtype=bool)
+    arr[1:, 1:].reshape(k, 4, k, 4)[:, :3, :, :3] = False
+    return arr
+
+
 @st.composite
 def mosaics(draw):
     """Several shapes on one canvas, where they may touch, overlap or nest:
@@ -757,6 +764,11 @@ def mosaics(draw):
 # Two holes: the first point walked twice is (0, 4), after the outer walk
 # has passed the first hole's start (0, 3).
 @example(hc.grid_from_rows(["0011110", "0111010", "0101110", "0111100"]))
+# Nine and 100 holes with 1-cell walls: the outer walk passes the starts
+# of the 3 and 10 holes under the top wall, and each hole's walk the start
+# of the hole below it.
+@example(hc.BinaryGrid(hole_grid(3)))
+@example(hc.BinaryGrid(hole_grid(10)))
 def test_contour_table_matches_the_walk(g):
     """The contour table's row of each component with no thin point is
     `_walk`'s walks, point for point, invalid components included; a row

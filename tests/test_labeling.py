@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -169,8 +171,9 @@ def test_holes_in_mask_matches_oracle(m5, m7, monkeypatch):
     assert holes_in_mask(m7.cells.tolist()) == 1
     assert holes_in_mask([[1, 1, 1, 1], [1, 0, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]]) == 1
     assert holes_in_mask([[1, 1, 1], [1, 0, 1], [1, 1, 1]]) == 1
-    with pytest.raises(ValueError):  # no 2D ring fits a 3D mask
-        holes_in_mask(np.ones((3, 3, 3), dtype=bool))
+    for shape in [(), (4,), (3, 3, 3)]:
+        with pytest.raises(ValueError, match=rf"got shape {re.escape(str(shape))}$"):
+            holes_in_mask(np.ones(shape, dtype=bool))
 
 
 def rings(k):
