@@ -49,12 +49,14 @@ def _ints(text: str, sep: str) -> list[int]:
 
 def render_annotations(g: grid.BinaryGrid, reports) -> str:
     """Digit overlay in the style of the worked example: 2/4 corner classes,
-    1 for other component points, 0 for background."""
+    1 for other component points, 0 for background. `reports` are one
+    image's (`holes.analyze_image`), all painted at once from its corner table."""
     canvas = g.cells.view(np.uint8) + ord("0")
-    for rep in reports:
-        ctx = rep.classification.context
-        rows, cols = np.nonzero(ctx.boundary & ((ctx.direct == 2) | (ctx.direct == 4)))
-        canvas[rows + ctx.origin[0], cols + ctx.origin[1]] = ctx.direct[rows, cols] + ord("0")
+    if reports:
+        labels = reports[0].classification.context.labels
+        paint = np.isin(labels.table.corner, (2, 4))
+        rows, cols = np.divmod(labels.table.cells[paint], labels.box.shape[1])
+        canvas[rows + labels.origin[0], cols + labels.origin[1]] = labels.table.corner[paint] + ord("0")
     return grid.text_rows(canvas)[:-1]
 
 

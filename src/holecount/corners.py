@@ -58,10 +58,9 @@ class CornerClassification:
     def degenerate_points(self) -> tuple[Point2, ...]:
         return tuple(self.context.thin_points)
 
-    @cached_property
+    @property
     def classes(self) -> dict[Point2, int]:
-        ctx = self.context
-        return dict(zip(_positions(ctx.boundary, ctx.origin), ctx.direct[ctx.boundary].tolist()))
+        return self.context.classes
 
     def __eq__(self, other):
         if not isinstance(other, CornerClassification):
@@ -126,29 +125,29 @@ class ComponentTable:
 
     Built from a map's `box`, whose labels number the components 1..n so
     that 4-adjacent foreground cells share one (a set read as one component
-    is all label 1); the map is not kept. `direct` and `boundary` come from
-    the foreground's `neighbor_counts`. Each boundary cell (`cells`,
-    row-major positions in the box, of labels `own`) reads its 8-ring once:
-    the tile of its `code` (`TILES`) is set at itself and at its ring cells
-    of its label; its N, E, S and W are the foreground's. 2 or more runs of
-    its label around the ring are an overlap, where two contours would meet
-    (a crossing number: Yokoi et al., CGIP 1975). A diagonal pair of one
-    label is a pathological window. With no thin point and no window a
-    component is well-composed (Latecki et al., CVIU 1995); `valid` adds no
-    overlap. `low` and `high` hold each label's first and last row and
-    column in the box, rows 1..n, and `area` its cell count, summed where
-    its runs along a row start (no cell of its label to the W) and end (none
-    to the E). Fault positions are the box's plus the map's `origin`.
+    is all label 1); it keeps neither the map nor an array of the box's
+    size, only columns over the foreground cells with a background
+    8-neighbour (`neighbor_counts`). Each such boundary cell (`cells`,
+    row-major box positions, labels `own`, classes `corner`) reads its
+    8-ring once: the tile of its `code` (`TILES`) is set at itself and at
+    its ring cells of its label; its N, E, S and W are the foreground's. 2
+    or more runs of its label around the ring are an overlap, where two
+    contours would meet (a crossing number: Yokoi et al., CGIP 1975). A
+    diagonal pair of one label is a pathological window. With no thin point
+    and no window a component is well-composed (Latecki et al., CVIU 1995);
+    `valid` adds no overlap. `low` and `high` hold each label's first and
+    last row and column in the box, rows 1..n, and `area` its cell count,
+    summed where its runs along a row start (no cell of its label to the W)
+    and end (none to the E). Fault positions are the box's plus `origin`.
     """
 
     def __init__(self, labels: LabelMap):
         box, n, origin = labels.box, labels.component_count, labels.origin
         height, width = box.shape
         fg = box != 0
-        self.direct, full = neighbor_counts(fg)
-        self.boundary = fg & (full < 8)
-        at = np.flatnonzero(self.boundary)
-        k = self.direct.ravel()[at]
+        direct, full = neighbor_counts(fg)
+        at = np.flatnonzero(fg & (full < 8))
+        k = direct.ravel()[at]
         rows, cols = divmod(at, width)
         flat = box.ravel()
         own = flat[at].astype(np.intp)
@@ -159,7 +158,7 @@ class ComponentTable:
             same = flat.take(at + dr * width + dc, mode="clip") == own
             same &= fits[dr][0] & fits[dc][1]
             code |= np.left_shift(same, 3 * dr + dc + 4, dtype=np.uint16)
-        self.cells, self.own, self.code = at, own, code
+        self.cells, self.own, self.code, self.corner = at, own, code, k
         self.classes = np.bincount(own * 5 + k, minlength=5 * (n + 1)).reshape(n + 1, 5)
         self.overlaps = np.bincount(own[_RING_RUNS[code] >= 2], minlength=n + 1) > 0
         ends, starts = ~TILES[:, 1, 2].take(code), ~TILES[:, 1, 0].take(code)  # of its runs along a row
@@ -215,8 +214,8 @@ class ComponentContext:
     is the image position. The component is row `cid` of `labels`, a
     `LabelMap`: its image's, or, for a `standalone` mask or point set, the
     crop's own, read as one component, row 1. Its census, faults, contours
-    and hole count are read from that map's tables, and `direct` and
-    `boundary` are cut from the map's `table` at the crop. These and the
+    and hole count are read from that map's tables, and `classes` is cut
+    from the map's `table` at its cells of label `cid`. These and the
     complement labeling are computed on first read and shared.
     """
 
@@ -225,7 +224,6 @@ class ComponentContext:
         self.image = image
         self.origin = origin
         self.offset = (origin[0] - 1, origin[1] - 1)
-        self.area = int(np.count_nonzero(self.crop))
         self.standalone = labels is None
         if labels is None:
             labels = LabelMap(self.crop.view(np.uint8), 1, origin, tuple(s.stop for s in image))
@@ -275,19 +273,13 @@ class ComponentContext:
         return _ringed(self.crop)
 
     @cached_property
-    def window(self) -> tuple[slice, slice]:
-        """The crop's cells in the arrays of its map's table."""
-        return _image(self.crop.shape, np.subtract(self.origin, self.labels.origin))
-
-    @cached_property
-    def direct(self) -> np.ndarray:
-        """Each cell's direct neighbors in its own component; read at this one's cells."""
-        return self.labels.table.direct[self.window]
-
-    @cached_property
-    def boundary(self) -> np.ndarray:
-        # Other components may lie in the box: only its own cells count.
-        return self.labels.table.boundary[self.window] & self.crop
+    def classes(self) -> dict[Point2, int]:
+        """The corner class of each boundary point by image position, row-major."""
+        labels, table, width = self.labels, self.labels.table, self.labels.box.shape[1]
+        top = (self.origin[0] - labels.origin[0]) * width  # its rows: a run of the row-major `cells`
+        lo, hi = np.searchsorted(table.cells, [top, top + self.crop.shape[0] * width])
+        mine = lo + np.flatnonzero(table.own[lo:hi] == self.cid)
+        return dict(zip(_positions(*np.divmod(table.cells[mine], width), labels.origin), table.corner[mine].tolist()))
 
     @property
     def thin_points(self) -> list[Point2]:
@@ -301,20 +293,19 @@ class ComponentContext:
 
     def positions(self, cells: np.ndarray) -> list[Point2]:
         """Image positions of the True cells of a `mask`-shaped array, row-major."""
-        return _positions(cells, self.offset)
+        return _positions(*np.nonzero(cells), self.offset)
 
 
-def _positions(cells: np.ndarray, offset) -> list[Point2]:
-    rows, cols = np.nonzero(cells)
+def _positions(rows: np.ndarray, cols: np.ndarray, offset) -> list[Point2]:
     return list(zip((rows + offset[0]).tolist(), (cols + offset[1]).tolist()))
 
 
 def boundary_points(g: BinaryGrid, component) -> frozenset[Point2]:
     """Points of the component with some 8-neighbor position outside it."""
     ctx = ComponentContext.of(g, component)
-    if not ctx.area:
+    if not np.count_nonzero(ctx.crop):
         raise EmptyComponentError("boundary of an empty component")
-    return frozenset(_positions(ctx.boundary, ctx.origin))
+    return frozenset(ctx.classes)
 
 
 def classify_corners(g: BinaryGrid, component) -> CornerClassification:
@@ -325,7 +316,7 @@ def classify_corners(g: BinaryGrid, component) -> CornerClassification:
     than raised, so validity reporting can consume them.
     """
     ctx = ComponentContext.of(g, component)
-    if not ctx.area:
+    if not np.count_nonzero(ctx.crop):
         raise EmptyComponentError("census of an empty component")
     return CornerClassification(census=ctx.labels.table.censuses[ctx.cid], context=ctx)
 

@@ -13,6 +13,7 @@ point where a component's contours fail.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -175,10 +176,10 @@ class CurveTable:
         self.ok = (faults + np.bincount(label[~closed], minlength=n + 1) == 0) & ~thin
         missed = visits == 0
         self._missed = own[missed], np.stack(divmod(cells[missed], width), axis=1) + labels.origin
-        classes = table.direct.ravel()[cells[path]]
+        classes = table.corner[keep][path]
         census = np.bincount(np.repeat(np.arange(outer.size) * 5, length) + classes, minlength=5 * outer.size)
         self.census = census.reshape(-1, 5)[:, 2:]
-        self.begin = np.append(begin, path.size)
+        self.begin, self._path = np.append(begin, path.size), path
         self.points = np.stack(divmod(cells[path], width), axis=1) + labels.origin
 
     def contours(self, cid: int) -> list[tuple[str, np.ndarray]]:
@@ -194,10 +195,13 @@ class CurveTable:
         """Where the walks of row `cid` fail to partition its boundary: the
         first point they visit twice, the outer contour first, else its first
         boundary cell, row-major, that no walk visits; None with neither."""
-        walks = self.points[self.begin[self.rows[cid]] : self.begin[self.rows[cid + 1]]]
-        _, first, seen = np.unique(walks @ (1 << 32, 1), return_index=True, return_inverse=True)
+        start, stop = self.begin[self.rows[cid]], self.begin[self.rows[cid + 1]]
+        path, step = self._path[start:stop], np.arange(stop - start)
+        first = np.full(path.max(initial=-1) + 1, stop - start)  # each cell's first step
+        np.minimum.at(first, path, step)
         label, missed = self._missed
-        found = np.concatenate([walks[first[seen] < np.arange(len(walks))], missed[label == cid]])
+        again = np.flatnonzero(first[path] < step)[:1]  # the first step onto a cell seen before
+        found = np.concatenate([self.points[start + again], missed[label == cid]])
         return tuple(found[0].tolist()) if len(found) else None
 
     def counts(self, cid: int) -> list[list[int]]:
@@ -237,7 +241,7 @@ def _traced(ctx: ComponentContext) -> tuple[CurveTable, int]:
     point where they fail (`CurveTable.fault`); a row that names none
     disagrees with its own check, and the error names the component's
     first cell."""
-    if not ctx.area:
+    if not np.count_nonzero(ctx.crop):
         raise EmptyComponentError("cannot trace an empty component")
     if ctx.thin_points:
         raise ThinComponentError(ctx.thin_points[0])
@@ -276,13 +280,13 @@ def curve_census(g: BinaryGrid, component, contour: Contour) -> CurveCensus:
     """Component-relative class counts over one contour's points."""
     ctx = ComponentContext.of(g, component)
     pts = np.array(contour.points, dtype=np.intp).reshape(-1, 2) - ctx.origin
-    inside = ((pts >= 0) & (pts < ctx.direct.shape)).all(axis=1)
+    inside = ((pts >= 0) & (pts < ctx.crop.shape)).all(axis=1)
     inside[inside] = ctx.crop[pts[inside, 0], pts[inside, 1]]
     if not inside.all():
         p = contour.points[int(np.argmin(inside))]
         raise ValueError(f"contour point {p} not in component")
-    k = np.bincount(ctx.direct[pts[:, 0], pts[:, 1]], minlength=5)
-    return CurveCensus(cp2=int(k[2]), cp3=int(k[3]), cp4=int(k[4]))
+    k = Counter(ctx.classes.get(tuple(p), 4) for p in contour.points)  # 4 off the boundary
+    return CurveCensus(cp2=k[2], cp3=k[3], cp4=k[4])
 
 
 def check_curve_lemma(points, interior=None) -> CurveLemmaResult:
@@ -308,12 +312,10 @@ def check_curve_lemma(points, interior=None) -> CurveLemmaResult:
     # The pathological diagonal patterns must not occur in the filled set.
     if not find_pathological(None, filled).clean:
         raise CurveError("pathological 2x2 window on the curve")
-    k = np.bincount(filled.direct[tuple((np.array(points) - filled.origin).T)], minlength=5)
+    k = Counter(filled.classes.get(p, 4) for p in points)  # 4 off the boundary
     if k[0] or k[1]:
         raise CurveError("curve point with fewer than 2 neighbors in the filled set")
-    return CurveLemmaResult(
-        cp2=int(k[2]), cp3=int(k[3]), cp4=int(k[4]), holds=bool(k[2] == k[4] + 4)
-    )
+    return CurveLemmaResult(cp2=k[2], cp3=k[3], cp4=k[4], holds=k[2] == k[4] + 4)
 
 
 def second_proof_accounting(g: BinaryGrid, component) -> AccountingResult:

@@ -98,7 +98,7 @@ def analyze_component(
 
     return ComponentReport(
         component_id=component_id,
-        area=ctx.area,
+        area=int(labels.table.area[component_id]),
         census=census,
         holes_formula=holes_formula,
         holes_oracle=holes_oracle,

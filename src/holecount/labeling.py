@@ -174,7 +174,7 @@ class LabelMap:
 
 def label_components(g: BinaryGrid, target: str = "foreground") -> LabelMap:
     """Label the foreground or the background of a grid: only the target's
-    bounding box, or the whole grid if it has no target cell (`LabelMap`)."""
+    bounding box, empty at (0, 0) if it has no target cell (`LabelMap`)."""
     if target == "foreground":
         mask = g.cells
     elif target == "background":
@@ -182,8 +182,6 @@ def label_components(g: BinaryGrid, target: str = "foreground") -> LabelMap:
     else:
         raise ValueError(f"unknown target {target!r}")
     rows, cols = bounding_box(mask)
-    if not rows.stop:  # no target cell
-        rows, cols = slice(0, g.height), slice(0, g.width)
     labels, n = label_mask(mask[rows, cols])
     labels.setflags(write=False)
     return LabelMap(labels, n, (rows.start, cols.start), mask.shape)

@@ -184,7 +184,7 @@ class SurfaceCensus:
 def double_component(g: BinaryGrid, component) -> VoxelSolid:
     """Stack a component at z = 1 and z = 2; points are (col, row, z)."""
     ctx = ComponentContext.of(g, component)
-    if not ctx.area:
+    if not np.count_nonzero(ctx.crop):
         raise EmptyComponentError("cannot double an empty component")
     solid = VoxelSolid.__new__(VoxelSolid)  # straight from the crop, with no point set
     solid.occupied = np.repeat(ctx.mask[None], 2, axis=0)

@@ -109,7 +109,18 @@ def test_an_all_background_image_has_no_entry(path, shape):
     for argv in (["analyze"], ["curves"], ["genus3d"]):
         assert run(path, argv) == (cli.EXIT_OK, "[]\n", "")
     labels = hc.label_components(hc.BinaryGrid(np.zeros(shape, dtype=bool)))
-    assert (labels.component_count, labels.origin, labels.box.shape) == (0, (0, 0), shape)
+    assert (labels.component_count, labels.origin, labels.box.shape, labels.shape) == (0, (0, 0), (0, 0), shape)
+
+
+@pytest.mark.parametrize("target", ["foreground", "background"])
+def test_an_image_with_no_target_cell_labels_an_empty_box(target):
+    """With no target cell there is nothing to label, whatever the image's
+    size: the box is empty at (0, 0), and the map keeps the image's shape."""
+    shape = (2048, 2048)
+    g = hc.BinaryGrid(np.full(shape, target == "background"))
+    labels = hc.label_components(g, target)
+    assert (labels.component_count, labels.origin, labels.box.shape, labels.shape) == (0, (0, 0), (0, 0), shape)
+    assert labels.slices == [] and labels.hole_counts == [0]
 
 
 @pytest.mark.parametrize("corner", [(0, 0), (0, 6), (4, 0), (4, 6)])

@@ -218,20 +218,20 @@ def test_crop_path_matches_full_image_reference(g):
 @example(hc.grid_from_rows(["1100", "1100", "0010"]))
 def test_label_context_matches_a_context_of_its_mask(g):
     """A context read from the image's tables builds its ring and its
-    complement only when they are read, and they, its crop's arrays and its
-    census equal those of a context of the component's own mask. Other
-    components may lie in the box, so `direct` is compared at the
-    component's cells."""
+    complement only when they are read, and they, its boundary points'
+    classes, its area and its census equal those of a context of the
+    component's own mask. Other components may lie in the box, so the
+    classes are cut from the image's table at the component's label."""
     labels = hc.label_components(g)
     for cid in range(1, labels.component_count + 1):
         ctx = corners.ComponentContext.of_label(labels, cid)
         alone = corners.ComponentContext.of(g, labels.mask_of(cid))
-        assert not {"mask", "complement", "direct", "boundary"} & set(vars(ctx))
+        assert not {"mask", "complement", "classes"} & set(vars(ctx))
         assert np.array_equal(ctx.mask, alone.mask)
-        census, alone_census = ctx.labels.table.censuses[cid], alone.labels.table.censuses[alone.cid]
-        assert (ctx.offset, ctx.area, census) == (alone.offset, alone.area, alone_census)
-        assert np.array_equal(ctx.direct[ctx.crop], alone.direct[alone.crop])
-        assert np.array_equal(ctx.boundary, alone.boundary)
+        table, alone_table = ctx.labels.table, alone.labels.table
+        census, alone_census = table.censuses[cid], alone_table.censuses[alone.cid]
+        assert (ctx.offset, table.area[cid], census) == (alone.offset, alone_table.area[alone.cid], alone_census)
+        assert list(ctx.classes.items()) == list(alone.classes.items())
         (regions, n), (alone_regions, alone_n) = ctx.complement, alone.complement
         assert n == alone_n and np.array_equal(regions, alone_regions)
 
@@ -330,13 +330,13 @@ def test_table_matches_each_component_alone(g):
         assert bool(table.valid[cid]) == alone.valid
         if alone.valid:
             assert euler_holes(mask) == record["holes_oracle"]
-        # The label context's counts and boundary, cut from the image's table.
+        # The label context's boundary points and classes, cut from the image's table.
         ctx = corners.ComponentContext.of_label(labels, cid)
-        window = labels.slices[cid - 1]
         direct, full = ref_counts(mask)
-        own = mask[window]
-        assert np.array_equal(ctx.direct[own], direct[window][own])
-        assert np.array_equal(ctx.boundary, (mask & (full < 8))[window])
+        boundary = mask & (full < 8)
+        assert list(ctx.classes) == list(map(tuple, np.argwhere(boundary).tolist()))
+        assert list(ctx.classes.values()) == direct[boundary].tolist()
+        assert table.area[cid] == np.count_nonzero(mask)
         assert hc.classify_corners(g, ctx).classes == classes
 
 
@@ -601,20 +601,52 @@ def test_reports_keep_no_image_sized_array(g):
             assert owner(a).size <= (rows + 2) * (cols + 2) < g.cells.size
 
 
+@pytest.mark.parametrize("g", [tile(2, 3), DOMINOES], ids=["tile", "dominoes"])
+def test_the_corner_table_keeps_no_box_sized_array(g):
+    """The corner table keeps each per-cell fact as a column over the
+    boundary cells and each per-label one as a row, 0..n: no array it
+    holds, nor any that one of them is a view of, is as large as the box."""
+    labels = hc.label_components(g)
+    table, n = labels.table, labels.component_count
+    bound = max(table.cells.size, n + 1)
+    assert bound < labels.box.size
+    assert {"cells", "own", "code", "corner"} <= set(vars(table))
+    assert not {"direct", "boundary"} & set(vars(table))
+    for name, a in vars(table).items():
+        if isinstance(a, np.ndarray):
+            longest = max(a.shape)  # with at most 5 values along the others
+            assert longest <= bound and owner(a).size <= 5 * longest, name
+
+
+def test_classes_are_decoded_once_on_first_read(monkeypatch):
+    """A context decodes its boundary points' classes from the image's
+    table on first read, through the one decoding helper, and keeps them."""
+    labels = hc.label_components(tile(2, 3))
+    ctx = corners.ComponentContext.of_label(labels, 2)
+    decoded = count_calls(monkeypatch, corners, "_positions")
+    assert "classes" not in vars(ctx)
+    classes = ctx.classes
+    assert ctx.classes is classes and hc.classify_corners(None, ctx).classes is classes
+    assert len(decoded) == 1 and len(classes) == labels.table.censuses[2].boundary_total
+    assert frozenset(classes) == hc.boundary_points(None, ctx)
+
+
 def test_a_valid_row_rings_no_crop(tmp_path, capsys, monkeypatch):
     """An all-valid `analyze` request rings one array, the image's
     foreground in `neighbor_counts`, and cuts one mask per component; the
-    text overlay reads each component's classes at its crop. A context
-    rings its crop only when its `mask` is read."""
+    text overlay paints every component's classes from the image's table
+    at once, decoding no component's points. A context rings its crop only
+    when its `mask` is read."""
     g = tile(2, 3)
     path = write_grid(tmp_path, g)
     ringed = count_calls(monkeypatch, corners, "_ringed")
+    decoded = count_calls(monkeypatch, corners, "_positions")
     cut = count_method_calls(monkeypatch, labeling.LabelMap, "mask_of")
     for output in ("json", "text"):
         assert cli.main(["analyze", path, "--output", output]) == cli.EXIT_OK
         capsys.readouterr()
         assert [mask.shape for mask, in ringed] == [(22, 34)]  # the foreground's box in 26 x 38
-        assert cut == [(cid,) for cid in range(1, 7)]
+        assert cut == [(cid,) for cid in range(1, 7)] and decoded == []
         del ringed[:], cut[:]
     ctx = hc.analyze_image(g)[0].classification.context
     ringed.clear()

@@ -3,7 +3,7 @@ import re
 import pytest
 
 import holecount as hc
-from holecount.curves import HOLE, OUTER
+from holecount.curves import HOLE, OUTER, Contour, CurveCensus
 from holecount.errors import ContourOverlapError, CurveError, ThinComponentError
 
 
@@ -108,6 +108,20 @@ def test_curve_census_rejects_foreign_contour(m5):
     outer = hc.trace_contours(g, g.foreground_points())[0]
     with pytest.raises(ValueError):
         hc.curve_census(m5, m5.foreground_points(), outer)
+
+
+def test_a_point_off_the_boundary_is_class_4():
+    """Classes are read at boundary points; any other point of the set has
+    all 8 neighbours in it, so all 4 direct ones. Here (1, 1) and (2, 2) of
+    a 5 x 5 block, and the curve's corner (0, 0) once `interior` holds the
+    cells around it."""
+    g = hc.grid_from_rows(["11111"] * 5)
+    diagonal = Contour(points=((0, 0), (1, 1), (2, 2)), kind=OUTER, _enclosed=frozenset)
+    assert hc.curve_census(g, g.foreground_points(), diagonal) == CurveCensus(cp2=1, cp3=0, cp4=2)
+    cycle = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0)]
+    around = {(1, 1), (-1, -1), (-1, 0), (-1, 1), (0, -1), (1, -1)}
+    res = hc.check_curve_lemma(cycle, interior=around)
+    assert (res.cp2, res.cp3, res.cp4, res.holds) == (3, 2, 3, False)
 
 
 def test_lemma_3x3_boundary_cycle():

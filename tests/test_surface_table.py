@@ -193,7 +193,8 @@ def test_component_table_columns_match_separate_reads(g):
     runs = np.count_nonzero(inside & ~np.roll(inside, -1, axis=0), axis=0)
     assert np.array_equal(corners._RING_RUNS[table.code], runs)
     spans = zip(table.low.tolist(), (table.high + 1).tolist())
-    assert [(slice(r0, r1), slice(c0, c1)) for (r0, c0), (r1, c1) in spans] == ndimage.find_objects(box)
+    objects = ndimage.find_objects(box) if box.size else []  # scipy refuses an empty box
+    assert [(slice(r0, r1), slice(c0, c1)) for (r0, c0), (r1, c1) in spans] == objects
     assert np.array_equal(table.area[1:], np.bincount(box.ravel(), minlength=n + 1)[1:])
 
 
