@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -86,6 +86,17 @@ class AccountingResult:
 _STEPS = np.array([(-1, 0), (0, 1), (1, 0), (0, -1)])
 
 
+@cache
+def _moves() -> np.ndarray:
+    """The next heading (-1 for none) by heading, for each 3 x 3 code: the first that fits of
+    left, straight, right and back. Built once per process, on first use."""
+    turns = (np.arange(4)[:, None] + [-1, 0, 1, 2]) % 4
+    fits = TILES[:, 1 + _STEPS[turns, 0], 1 + _STEPS[turns, 1]]
+    moves = np.where(fits.any(axis=2), turns[np.arange(4), fits.argmax(axis=2)], -1).astype(np.int8)
+    moves.flags.writeable = False
+    return moves
+
+
 class CurveTable:
     """The contours of every component of a `LabelMap`, from one vectorised
     left-hand walk.
@@ -93,7 +104,7 @@ class CurveTable:
     The walk is a function on states (boundary cell, heading): the next step
     is the first of left, straight, right and back that lands on the
     foreground, where a cell's 4-neighbours carry its label. It is found
-    once for each 3 x 3 code, on its tile (`corners.TILES`), and every
+    once per process for each 3 x 3 code, on its tile (`_moves`), and every
     boundary cell of the map's `table` reads its own code's. A component's
     outer contour starts at its first cell heading E, and a hole contour at
     the cell above its region's first cell (the map's `complements`, from
@@ -122,14 +133,8 @@ class CurveTable:
         count, sink = cells.size, 4 * cells.size  # a state is 4 * cell + heading
         number = np.full(labels.box.size, count, dtype=np.int32)  # boundary cell number; `count` elsewhere
         number[cells] = np.arange(count, dtype=np.int32)
-        step = _STEPS @ (width, 1)
-        # The next heading (-1 for none) by heading, for each 3 x 3 code: the first that fits of
-        # left, straight, right and back.
-        turns = (np.arange(4)[:, None] + [-1, 0, 1, 2]) % 4
-        fits = TILES[:, 1 + _STEPS[turns, 0], 1 + _STEPS[turns, 1]]
-        moves = np.where(fits.any(axis=2), turns[np.arange(4), fits.argmax(axis=2)], -1)
-        move = np.take(moves.astype(np.int8), table.code[keep], axis=0)
-        to = number.take(cells[:, None] + step.take(move))
+        move = np.take(_moves(), table.code[keep], axis=0)
+        to = number.take(cells[:, None] + (_STEPS @ (width, 1)).take(move))
         succ = np.full(sink + 1, sink, dtype=np.int32)  # the sink, 4 * count, goes nowhere
         succ[:sink] = np.where((move >= 0) & (to < count), 4 * to + move, sink).ravel()
 

@@ -72,8 +72,8 @@ def analyze_component(
     whose boundary is not a set of simple closed curves does not count its
     holes (with validation off, the oracle runs on every component). The
     oracle isolates the component in its ringed box on the image's mosaic
-    (`labeling.hole_regions`, labelled once for all components), so border
-    contact is harmless here.
+    (`labeling.hole_regions`, built once for all components from the gaps
+    between each one's own runs), so border contact is harmless here.
     """
     if labels is None:
         labels = label_components(g, "foreground")

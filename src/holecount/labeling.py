@@ -7,7 +7,6 @@ at 1; 0 is "not in the target set".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,7 +63,16 @@ def label_runs(mask) -> tuple[np.ndarray, int]:
         pairs.append((extra, back[extra]))
         extra = np.flatnonzero((parent.take(ahead) != own) & (ahead < count))
         pairs.append((ahead[extra], extra))
-    a, b = (np.concatenate(side) for side in zip(*pairs))
+    parent = _joined(parent, *(np.concatenate(side) for side in zip(*pairs)))
+    root = parent[:-1] == own
+    paint = np.zeros(2 * count + 1, dtype=np.int32)
+    paint[1::2] = np.cumsum(root, dtype=np.int32)[parent[:-1]]
+    return np.repeat(paint, lengths).reshape(shape), int(np.count_nonzero(root))
+
+
+def _joined(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each node's root once the forest `parent` (a root its tree's least node)
+    joins each pair (a, b): rounds of pointer jumping, then hooking."""
     while True:
         up = parent[parent]
         while (up != parent).any():
@@ -72,13 +80,9 @@ def label_runs(mask) -> tuple[np.ndarray, int]:
         ra, rb = parent[a], parent[b]
         apart = np.flatnonzero(ra != rb)
         if not apart.size:
-            break
+            return parent
         a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-    root = parent[:-1] == own
-    paint = np.zeros(2 * count + 1, dtype=np.int32)
-    paint[1::2] = np.cumsum(root, dtype=np.int32)[parent[:-1]]
-    return np.repeat(paint, lengths).reshape(shape), int(np.count_nonzero(root))
 
 
 def label_mask(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -131,7 +135,7 @@ class LabelMap:
 
     @cached_property
     def complements(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hole regions of every component from one labelling (`hole_regions`) of `box`."""
+        """Hole regions of every component from the gaps between its runs (`hole_regions`)."""
         return hole_regions(self)
 
     @cached_property
@@ -188,54 +192,45 @@ def label_components(g: BinaryGrid, target: str = "foreground") -> LabelMap:
 
 
 def hole_regions(labels: LabelMap) -> tuple[np.ndarray, np.ndarray]:
-    """The enclosed complement regions of every component of a map, from one labelling.
+    """The enclosed complement regions of every component of a map, from its runs.
 
-    Only the boundary cells of the map's `table` matter: the others have no
-    background 4-neighbour, so they border no complement region. Each
-    label's box, the table's, grown by a background ring, is placed on one
-    canvas that holds only that component's boundary cells: shelves of
-    boxes, tallest first, each shelf as tall as its first box, filled by one
-    scatter of those cells. The canvas complement is labelled once,
-    4-connected. Each shelf's top and bottom rows are rings or free canvas,
-    so all rings and free canvas are region 1. Every other region lies in
-    one box, whose scan order the move kept, and is either one that
-    `holes_in_mask` counts for that component alone or one of cells left
-    off, which starts on a foreground cell. Returns each label's hole count
-    (index 0 unused) and the holes' first cells in scan order, grouped by
-    label, as positions in the map's `box`.
+    A run, a maximal line of one label's cells along a row, starts and ends at
+    a boundary cell of the map's `table` with no W, or no E, cell of its label;
+    a gap is the cells between two runs of one label on one row. Any other
+    cell off a label in its ringed box joins the ring along its row, so the
+    label's holes are the 4-connected regions of its gaps with no gap outside:
+    on a row with no row of the label right above or below, or reaching past
+    the first or last run of either. Gaps on adjacent rows that meet are found
+    by two sorted searches and joined as `label_runs` joins runs. Returns each
+    label's hole count (index 0 unused) and the holes' first cells (their first
+    gaps'), as `box` positions in scan order, grouped by label.
     """
-    box, n, table = labels.box, labels.component_count, labels.table
-    if not n:
-        return np.zeros(1, dtype=np.intp), np.zeros((0, 2), dtype=np.intp)
-    at, own, low, high = table.cells, table.own, table.low, table.high
-    order = np.argsort(low[:, 0] - high[:, 0], kind="stable")
-    h, w = (high[order] - low[order] + 3).T
-    # One row of boxes, cut into shelves about as long as the canvas is tall.
-    run = np.cumsum(w) - w
-    new = np.diff(run // max(math.isqrt(int(h @ w)), 1), prepend=-1) > 0
-    shelf = np.cumsum(new) - 1
-    left = run - run[new][shelf]
-    tops = np.cumsum(h[new]) - h[new]
-    shift = np.zeros((n + 1, 2), dtype=np.intp)  # canvas minus box position
-    shift[order + 1] = np.stack([tops[shelf], left], axis=1) + 1 - low[order]
-    canvas = np.zeros((h[new].sum(), (left + w).max()), dtype=box.dtype)
-    width = canvas.shape[1]
-    canvas.ravel()[at + at // box.shape[1] * (width - box.shape[1]) + (shift @ (width, 1))[own]] = own
-    free = canvas == 0
-    regions = label_mask(free)[0]
-    # A region's first cell has no cell of its region above it; ids number
-    # regions by first cell, so it raises the running maximum. The cell
-    # above it is its component's.
-    free[1:] &= ~free[:-1]
-    at = np.flatnonzero(free)
-    first = at[np.diff(np.maximum.accumulate(regions.ravel()[at]), prepend=1) > 0]
-    owner = canvas.ravel()[first - width]
-    cells = np.stack(divmod(first, width), axis=1) - shift[owner]
-    # A hole starts on background: a cell of another component there would
-    # touch the one above and share its label.
-    hole = box[cells[:, 0], cells[:, 1]] == 0
-    owner, cells = owner[hole], cells[hole]
-    return np.bincount(owner, minlength=n + 1), cells[np.argsort(owner, kind="stable")]
+    from .corners import TILES  # corners imports this module
+
+    (height, width), n, table = labels.box.shape, labels.component_count, labels.table
+    code, own, cells = table.code, table.own, table.cells
+    starts, ends = (np.flatnonzero(~TILES[:, 1, c].take(code)) for c in (0, 2))  # each run's, row-major
+    order = np.argsort(own.take(starts), kind="stable")
+    starts, ends = starts.take(order), ends.take(order)  # by label
+    label, (row, first), last = own.take(starts), np.divmod(cells.take(starts), width), cells.take(ends) % width
+    line = label * (height + 1) + row  # the runs of one label on one row are a line
+    new, end = np.diff(line, prepend=-1) != 0, np.diff(line, append=-1) != 0
+    gap = np.flatnonzero(~new[1:])  # between run `gap` and the next
+    at, a, b = np.cumsum(new).take(gap), last.take(gap) + 1, first.take(gap + 1) - 1
+    line, low, high = (np.r_[-2, v, -2] for v in (line[new], first[new], last[end]))  # line `at` is a gap's
+    below = line.take(at + 1) - line.take(at) == 1
+    outside = (line.take(at) - line.take(at - 1) != 1) | ~below
+    outside |= a < np.maximum(low.take(at - 1), low.take(at + 1))
+    outside |= b > np.minimum(high.take(at - 1), high.take(at + 1))
+    # The gaps of the line below that meet a gap's columns lie between two sorted searches.
+    key = at * (width + 1)
+    begin = np.searchsorted(key + b, key + width + 1 + a)
+    count = np.where(below, np.searchsorted(key + a, key + width + 1 + b, "right") - begin, 0)
+    upper = np.repeat(np.arange(gap.size), count)
+    lower = np.arange(upper.size) - np.repeat(np.cumsum(count) - count - begin, count)
+    root = _joined(np.arange(gap.size), upper, lower)
+    hole = (root == np.arange(gap.size)) & (np.bincount(root[outside], minlength=gap.size) == 0)
+    return np.bincount(label[gap[hole]], minlength=n + 1), np.stack([row[gap[hole]], a[hole]], axis=1)
 
 
 def holes_in_mask(mask) -> int:

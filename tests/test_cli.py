@@ -423,10 +423,11 @@ def test_analyze_stop_rule_disagreement_exit_2(tmp_path, capsys, monkeypatch, ou
 
 
 def test_bench_oracle_reads_the_mosaic(monkeypatch):
-    """`oracle_path` on a 2 x 3 tile of squares with one hole each: two
-    labellings (the image's box and the mosaic), no component cut out, and
-    the touch model's figures, 5 per image cell and 9 per ringed box cell."""
-    calls = {"label_mask": 0, "mask_of": 0, "contexts": 0}
+    """`oracle_path` on a 2 x 3 tile of squares with one hole each: one
+    labelling (the image's box), one mosaic of holes, which labels nothing,
+    no component cut out, and the touch model's figures, 5 per image cell
+    and 9 per ringed box cell."""
+    calls = {"label_mask": 0, "hole_regions": 0, "mask_of": 0, "contexts": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -437,6 +438,7 @@ def test_bench_oracle_reads_the_mosaic(monkeypatch):
 
     for module in (labeling, corners):
         monkeypatch.setattr(module, "label_mask", counted("label_mask", module.label_mask))
+    monkeypatch.setattr(labeling, "hole_regions", counted("hole_regions", labeling.hole_regions))
     monkeypatch.setattr(labeling.LabelMap, "mask_of", counted("mask_of", labeling.LabelMap.mask_of))
     context = corners.ComponentContext.__init__
     monkeypatch.setattr(corners.ComponentContext, "__init__", counted("contexts", context))
@@ -444,7 +446,7 @@ def test_bench_oracle_reads_the_mosaic(monkeypatch):
     square[3, 3] = False
     g = hc.BinaryGrid(np.tile(square, (2, 3)))
     assert cli.oracle_path(g) == (6, 5 * 14 * 21 + 9 * 6 * 7 * 7)
-    assert calls == {"label_mask": 2, "mask_of": 0, "contexts": 0}
+    assert calls == {"label_mask": 1, "hole_regions": 1, "mask_of": 0, "contexts": 0}
 
 
 # Two components, one with two holes and one with none.

@@ -14,6 +14,7 @@ import gc
 import io
 import json
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -407,11 +408,12 @@ def image_work(work):
 
 def test_analyze_labels_the_image_and_the_mosaic(monkeypatch):
     """One table pass over the image gives every census and validity, and
-    one labelling of the mosaic every oracle count: a request labels twice,
-    the image and then the mosaic, and labels no crop."""
+    one mosaic of its runs every oracle count: a request labels once, the
+    image, and then neither the mosaic nor any crop."""
     g = tile(2, 3)
     work = count_work(monkeypatch)
     labeled = count_calls(monkeypatch, labeling, "label_mask")
+    regions = count_calls(monkeypatch, labeling, "hole_regions")
     reports = hc.analyze_image(g)
     assert len(reports) == 6 and all(rep.agreement for rep in reports)
     assert [rep.holes_oracle for rep in reports] == [(i + j) % 3 for i in range(2) for j in range(3)]
@@ -419,10 +421,8 @@ def test_analyze_labels_the_image_and_the_mosaic(monkeypatch):
     assert image_work(work) == {
         "neighbor_counts": once, "diagonal_pairs": once, "_positions": [], "trace_contours": []
     }
-    image, mosaic = (mask for mask, in labeled)
-    assert image.shape == (22, 34)
-    # The six ringed 10 x 10 boxes, not one 12 x 12 crop.
-    assert mosaic.size >= 6 * 12 * 12
+    assert [mask.shape for mask, in labeled] == [(22, 34)]
+    assert len(regions) == 1
 
 
 def test_genus3d_reads_validity_from_the_table(tmp_path, capsys, monkeypatch):
@@ -438,8 +438,9 @@ def test_genus3d_reads_validity_from_the_table(tmp_path, capsys, monkeypatch):
 
 def test_curves_traces_each_component_once(tmp_path, capsys, monkeypatch):
     """One contour table walks every component: a request labels the image
-    and the mosaic of its complements, whatever the component count, counts
-    neighbors once over the image and builds one contour table."""
+    once and builds one mosaic of its complements, which labels nothing,
+    whatever the component count, counts neighbors once over the image and
+    builds one contour table."""
     arr = np.zeros((242, 242), dtype=bool)
     for i in range(20):
         for j in range(20):
@@ -449,14 +450,13 @@ def test_curves_traces_each_component_once(tmp_path, capsys, monkeypatch):
     traced = count_calls(monkeypatch, curves, "trace_contours")
     built = count_calls(monkeypatch, curves, "CurveTable")
     labeled = count_calls(monkeypatch, labeling, "label_mask")
+    regions = count_calls(monkeypatch, labeling, "hole_regions")
     counted = count_calls(monkeypatch, corners, "neighbor_counts")
     assert cli.main(["curves", write_grid(tmp_path, g)]) == cli.EXIT_OK
     assert len(json.loads(capsys.readouterr().out)) == 400
-    assert traced == [] and len(built) == 1
-    image, mosaic = (mask for mask, in labeled)
-    assert image.shape == (238, 238)  # the foreground's box, rows and columns 1..238 of 242
-    # The ringed 10 x 10 boxes (0-2 holes each), packed with little waste.
-    assert 400 * 12 * 12 <= mosaic.size < 1.1 * 400 * 12 * 12
+    assert traced == [] and len(built) == 1 and len(regions) == 1
+    # The foreground's box, rows and columns 1..238 of 242, and nothing else.
+    assert [mask.shape for mask, in labeled] == [(238, 238)]
     assert [mask.size for mask, in counted] == [238 * 238]
 
 
@@ -719,12 +719,12 @@ def spiral(side):
     return arr
 
 
-def comb(teeth, length):
-    """A 2-thick bar with `teeth` 2-wide teeth of `length`, 2 apart."""
-    arr = np.zeros((length + 2, 4 * teeth - 2), dtype=bool)
-    arr[:2] = True
+def comb(teeth, length, thick=2):
+    """A `thick` bar with `teeth` teeth of `length`, `thick` wide and apart."""
+    arr = np.zeros((length + thick, 2 * thick * teeth - thick), dtype=bool)
+    arr[:thick] = True
     for t in range(teeth):
-        arr[2:, 4 * t : 4 * t + 2] = True
+        arr[thick:, 2 * thick * t : 2 * thick * t + thick] = True
     return arr
 
 
@@ -833,6 +833,78 @@ def test_contour_table_matches_the_walk(g):
         acct = table.accounting(cid)
         assert [(cc.cp2, cc.cp3, cc.cp4) for cc in acct.curve_censuses] == census
         assert acct == curves.second_proof_accounting(g, mask)
+
+
+def dense_hole_regions(labels):
+    """`hole_regions` of a map, cut per component: the first cell, as a `box`
+    position, of each bounded region of `label_mask` of the complement of
+    the component's crop grown by a background ring. A crop met before
+    reuses its regions."""
+    box, seen, counts, cells = labels.box, {}, [0], [np.zeros((0, 2), dtype=np.intp)]
+    objects = ndimage.find_objects(box) if box.size else []  # scipy refuses an empty box
+    for cid, (rows, cols) in enumerate(objects, start=1):
+        crop = box[rows, cols] == cid
+        key = crop.shape, crop.tobytes()
+        if key not in seen:
+            regions, _ = labeling.label_mask(~np.pad(crop, 1))
+            _, first = np.unique(regions, return_index=True)  # 0 the crop, 1 the ring, then the holes
+            seen[key] = np.stack(np.divmod(first[2:], crop.shape[1] + 2), axis=1) - 1
+        counts.append(len(seen[key]))
+        cells.append(seen[key] + (rows.start, cols.start))
+    return np.array(counts), np.concatenate(cells)
+
+
+def assert_dense_hole_regions(g):
+    labels = hc.label_components(g)
+    holes, firsts = labeling.hole_regions(labels)
+    ref_holes, ref_firsts = dense_hole_regions(labels)
+    assert holes.tolist() == ref_holes.tolist()
+    assert firsts.tolist() == ref_firsts.tolist()
+    return labels
+
+
+def nested_rings(thick, side=27):
+    """Concentric square rings `thick` cells thick, `thick` cells apart."""
+    edge = np.minimum(np.arange(side), np.arange(side)[::-1])
+    depth = np.minimum.outer(edge, edge)  # cells to the image's edge
+    return (depth > 0) & ((depth - 1) // thick % 2 == 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mosaics())
+@example(hc.BinaryGrid(nested_rings(1)))
+@example(hc.BinaryGrid(nested_rings(2)))
+@example(hc.BinaryGrid(hole_grid(3)))
+@example(hc.BinaryGrid(hole_grid(10)))
+@example(hc.BinaryGrid(np.pad(comb(10, 8, thick=1), 1)))  # a 1-cell vertical comb
+@example(hc.grid_from_rows(NESTED))  # a component in another's hole
+@example(hc.grid_from_rows(["111", "101", "111"]))  # every cell on the box's edge
+@example(hc.BinaryGrid(np.zeros((4, 5), dtype=bool)))  # no component, an empty box
+def test_hole_regions_match_the_dense_reference(g):
+    """Both outputs of the mosaic, each component's hole count and its
+    holes' first cells, are the dense reference's, on every row, invalid
+    ones included."""
+    assert_dense_hole_regions(g)
+
+
+def test_hole_regions_of_every_4x4_image(every_4x4_image):
+    assert assert_dense_hole_regions(every_4x4_image).component_count == 168529
+
+
+def test_the_mosaic_stays_run_sized():
+    """Once the corner table is built, the mosaic allocates less than a
+    byte per box cell on a 1024 x 1024 rectangle with holes: it works on
+    runs and gaps, not on a canvas or a labelling of boxes."""
+    labels = hc.label_components(hc.gen_rect_with_holes(hc.random_rect_spec(1, (1024, 1024), 5)))
+    labels.table
+    tracemalloc.start()
+    try:
+        holes, _ = labeling.hole_regions(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holes.tolist() == [0, 5]
+    assert peak < labels.box.size
 
 
 @settings(max_examples=300, deadline=None)
