@@ -85,6 +85,23 @@ def _joined(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
 
 
+def interval_roots(first: np.ndarray, last: np.ndarray, width: int) -> np.ndarray:
+    """The root of each interval (`_joined`) once intervals on lines one apart
+    that share a column are joined. Interval i spans positions first[i]..last[i]
+    of one line, each line * width + a column of 0..width - 1; they are sorted
+    and disjoint. The intervals below i that meet it are begin[i]..end[i] - 1.
+    Each one below is seeded under its first above, as `label_runs` seeds its
+    forest; two intervals on a line meet at most one below in common, so the
+    other pairs are i and begin[i] where i - 1 meets begin[i] too."""
+    begin = np.searchsorted(last, first + width)
+    end = np.searchsorted(first, last + width, "right")
+    above = np.cumsum(np.bincount(end, minlength=first.size + 1))[:-1]  # each one's first above with an end past it
+    parent = np.arange(first.size)
+    parent = np.where(np.append(begin, first.size).take(above) <= parent, above, parent)
+    also = np.flatnonzero(begin[1:] < end[:-1]) + 1
+    return _joined(parent, also, begin.take(also))
+
+
 def label_mask(mask: np.ndarray) -> tuple[np.ndarray, int]:
     """4-connected labeling of a bool mask with deterministic ids: 1..n by
     first occurrence in row-major order (`label_runs`)."""
@@ -200,8 +217,8 @@ def hole_regions(labels: LabelMap) -> tuple[np.ndarray, np.ndarray]:
     cell off a label in its ringed box joins the ring along its row, so the
     label's holes are the 4-connected regions of its gaps with no gap outside:
     on a row with no row of the label right above or below, or reaching past
-    the first or last run of either. Gaps on adjacent rows that meet are found
-    by two sorted searches and joined as `label_runs` joins runs. Returns each
+    the first or last run of either. Gaps on adjacent rows that meet are
+    joined by `interval_roots`, on the lines of their labels. Returns each
     label's hole count (index 0 unused) and the holes' first cells (their first
     gaps'), as `box` positions in scan order, grouped by label.
     """
@@ -222,13 +239,8 @@ def hole_regions(labels: LabelMap) -> tuple[np.ndarray, np.ndarray]:
     outside = (line.take(at) - line.take(at - 1) != 1) | ~below
     outside |= a < np.maximum(low.take(at - 1), low.take(at + 1))
     outside |= b > np.minimum(high.take(at - 1), high.take(at + 1))
-    # The gaps of the line below that meet a gap's columns lie between two sorted searches.
-    key = at * (width + 1)
-    begin = np.searchsorted(key + b, key + width + 1 + a)
-    count = np.where(below, np.searchsorted(key + a, key + width + 1 + b, "right") - begin, 0)
-    upper = np.repeat(np.arange(gap.size), count)
-    lower = np.arange(upper.size) - np.repeat(np.cumsum(count) - count - begin, count)
-    root = _joined(np.arange(gap.size), upper, lower)
+    key = line.take(at) * width
+    root = interval_roots(key + a, key + b, width)
     hole = (root == np.arange(gap.size)) & (np.bincount(root[outside], minlength=gap.size) == 0)
     return np.bincount(label[gap[hole]], minlength=n + 1), np.stack([row[gap[hole]], a[hole]], axis=1)
 

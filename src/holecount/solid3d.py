@@ -23,8 +23,9 @@ of its 6 neighboring edge slices. On one solid's surface, the full
 lattice is assembled only as the input of the one labeling of surface
 components; `SurfaceTable` credits every component of a label image from
 a table of each pixel's credit by its 3 x 3 code, built by this array code
-on first use and read at `corners.ComponentTable.code`. Tuple sets of
-public attributes are decoded only when read.
+on first use and read at `corners.ComponentTable.code`, where it also
+reads the runs of cubes that it joins into pieces. Tuple sets of public
+attributes are decoded only when read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import EmptyComponentError, InvalidSurfaceError, MultipleSurfaceComponentsError, ThinSolidError
 from .grid import BinaryGrid
 from .corners import TILES, ComponentContext
-from .labeling import LabelMap, label_mask, label_runs
+from .labeling import LabelMap, interval_roots, label_runs
 
 Point3 = tuple[int, int, int]
 Face = tuple[Point3, int]
@@ -49,6 +50,10 @@ _HIGH = tuple(tuple(slice(1, None) if i == 2 - a else slice(None) for i in range
 # Doubled-lattice parity of the edges of each direction and the faces of each normal.
 _EDGE_PARITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _FACE_PARITY = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+# Per 3 x 3 code, a cube (2 x 2 cells) at the centre's top left or at its W's, not both. Along a row, a
+# run of cubes starts at such a cell and ends at the next, one cell past its last cube: both have a
+# background 8-neighbour (W or SW, E or SE), so both are boundary cells, and starts and ends alternate.
+_CUBE_RUN_ENDS = TILES[:, 1:, 1:].all(axis=(1, 2)) != TILES[:, 1:, :2].all(axis=(1, 2))
 
 
 def _spread(a: np.ndarray, axis: int, out: np.ndarray, op=np.add) -> None:
@@ -306,11 +311,12 @@ class SurfaceTable:
     piece: when it passes every check of `extract_surface`,
     `classify_surface_points` and `euler_genus_oracle`. The surface of
     R x [1, 2] is connected iff R, the union of the cubes seen from above,
-    is, so one 4-connected labeling of the cubes counts pieces: cubes that
-    meet only at a corner share an edge of 4 faces, not clean. Each piece's
-    label is read at the boundary pixels with a cube at their top left (a
-    tile set at E, S and SE): its first cube has one there, since an
-    interior pixel would have a cube above it, in the same piece.
+    is, so the 4-connected pieces of the cubes count pieces: cubes that meet
+    only at a corner share an edge of 4 faces, not clean. The cubes' runs
+    along the rows start and end (one pixel past the last cube) at boundary
+    pixels, read from their codes (`_CUBE_RUN_ENDS`); runs on adjacent rows
+    that share a column are joined (`labeling.interval_roots`), and a label
+    is one piece when its runs have one root.
     """
 
     def __init__(self, labels: LabelMap):
@@ -320,13 +326,10 @@ class SurfaceTable:
         self.points = tally @ np.eye(7, dtype=np.intp)[credits[:, :2]].sum(axis=1)
         self.points[:, 4] += 2 * (table.area - table.classes.sum(axis=1))
         self.genus = (2 - tally @ credits[:, 2]) // 2
-        fg = labels.box != 0
-        pieces, count = label_mask(fg[:-1, :-1] & fg[1:, :-1] & fg[:-1, 1:] & fg[1:, 1:])
-        corner = TILES[:, 1:, 1:].all(axis=(1, 2)).take(code)  # a cube at the top left
-        at = table.cells[corner]  # less its row, its position in the one cell narrower map of cubes
-        owner = np.zeros(count + 1, dtype=np.intp)
-        owner[pieces.ravel()[at - at // fg.shape[1]]] = own[corner]
-        self.clean = np.bincount(owner[1:], minlength=n + 1) == 1
+        ends = np.flatnonzero(_CUBE_RUN_ENDS.take(code))  # each run of cubes' start, then its end
+        at = table.cells.take(ends)
+        root = interval_roots(at[::2], at[1::2] - 1, labels.box.shape[1])
+        self.clean = np.bincount(own.take(ends[::2])[root == np.arange(root.size)], minlength=n + 1) == 1
         self.clean &= ~self.points[:, 1:3].any(axis=1) & (tally @ credits[:, 3] == 0)
 
 

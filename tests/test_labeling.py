@@ -10,7 +10,7 @@ from scipy import ndimage
 import holecount as hc
 from holecount import corners
 from holecount.errors import BorderContactError, UnknownComponentError
-from holecount.labeling import LabelMap, holes_in_mask, label_mask, label_runs
+from holecount.labeling import LabelMap, holes_in_mask, interval_roots, label_mask, label_runs
 
 
 def test_matrix5_single_component(m5):
@@ -251,6 +251,25 @@ def test_label_runs_is_ndimage_label_in_2d(mask):
     if mask.size:
         labels = LabelMap(*label_mask(mask))  # of the whole mask: its box is the image
         assert labels.slices == ndimage.find_objects(labels.box)
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks_2d())
+@example(np.zeros((0, 0), dtype=bool))
+@example(spiral(61, 1))
+@example(comb(30, 40, 1))
+@example(~comb(30, 40, 2))
+def test_interval_roots_joins_runs_as_ndimage_label(mask):
+    """A mask's runs along its rows, joined by `interval_roots`, fall into
+    `ndimage.label`'s components, each one's root its first run."""
+    framed = np.pad(mask, ((0, 0), (1, 1)))
+    rows, cols = np.nonzero(framed[:, 1:] != framed[:, :-1])  # each run's first column, one past its last
+    at = rows * mask.shape[1] + cols
+    root = interval_roots(at[::2], at[1::2] - 1, mask.shape[1])
+    expected, n = ndimage.label(mask)
+    component = expected[rows[::2], cols[::2]]
+    assert np.array_equal(component[root == np.arange(root.size)], np.arange(1, n + 1))
+    assert np.array_equal(component[root], component)
 
 
 def hollow_cubes(k):

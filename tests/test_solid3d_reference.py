@@ -322,9 +322,10 @@ def test_error_texts_name_the_first_cell_in_xyz_lattice_order(kind, thin):
 
 def test_genus3d_builds_no_point_sets(tmp_path, capsys, monkeypatch):
     """`genus3d` on an image of valid components doubles nothing (every row
-    comes from the 3 x 3 table, built once per process), labels no 3D
-    lattice, extracts no surface of a component of its own and decodes no
-    tuple set of a solid or a surface."""
+    comes from the 3 x 3 table, built once per process), labels nothing but
+    the foreground's box (no 3D lattice, no map of cubes), extracts no
+    surface of a component of its own and decodes no tuple set of a solid or
+    a surface."""
     cells = np.zeros((26, 38), dtype=bool)
     for i in range(2):
         for j in range(3):
@@ -350,7 +351,7 @@ def test_genus3d_builds_no_point_sets(tmp_path, capsys, monkeypatch):
     assert [e["genus_formula"] for e in entries] == [(i + j) % 3 for i in range(2) for j in range(3)]
     assert calls["extract_surface"] == calls["euler_genus_oracle"] == calls["_cubes_and_faces"] == []
     # Rows 1..22 and columns 1..34 hold the foreground.
-    assert labeled == [(22, 34), (21, 33)]  # the foreground's box, then the map of its cubes
+    assert labeled == [(22, 34)]  # the foreground's box only: the cubes are joined as runs
     assert decoded == []
 
 

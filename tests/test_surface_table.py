@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,62 @@ def test_table_matches_the_doubled_box(g):
 def test_every_4x4_image_matches_the_doubled_box(every_4x4_image):
     """Every row of the 3 x 3 table is the doubled box's."""
     assert_doubled_table(every_4x4_image)
+
+
+def dense_cube_runs(box):
+    """The runs along each row of the map of the foreground's 2 x 2 blocks
+    (`fg[:-1, :-1] & fg[1:, :-1] & fg[:-1, 1:] & fg[1:, 1:]`, by top left
+    pixel), in scan order: each one's row, first and last column, and the
+    label of its first block's top left pixel."""
+    fg = box != 0
+    cubes = fg[:-1, :-1] & fg[1:, :-1] & fg[:-1, 1:] & fg[1:, 1:]
+    framed = np.pad(cubes, ((0, 0), (1, 1)))
+    rows, cols = np.nonzero(framed[:, 1:] != framed[:, :-1])  # each run's first column, one past its last
+    return rows[::2], cols[::2], cols[1::2] - 1, box[rows[::2], cols[::2]]
+
+
+def assert_cube_runs(g):
+    """The runs of cubes read at the boundary cells' codes, as `SurfaceTable`
+    reads them, are the dense map's."""
+    labels = hc.label_components(g)
+    table, width = labels.table, labels.box.shape[1]
+    ends = np.flatnonzero(solid3d._CUBE_RUN_ENDS.take(table.code))
+    (row, first), last = np.divmod(table.cells.take(ends[::2]), width), table.cells.take(ends[1::2]) % width - 1
+    runs = row, first, last, table.own.take(ends[::2])
+    for name, got, want in zip(("row", "first", "last", "label"), runs, dense_cube_runs(labels.box)):
+        assert np.array_equal(got, want), name
+
+
+@settings(max_examples=400, deadline=None)
+@given(label_images())
+@example(hc.grid_from_rows(NESTED))
+@example(hc.grid_from_rows(DIAGONAL))
+@example(hc.grid_from_rows(["1"]))
+@example(hc.BinaryGrid(np.zeros((3, 4), dtype=bool)))
+def test_cube_runs_match_the_dense_map(g):
+    assert_cube_runs(g)
+
+
+def test_every_4x4_image_has_the_dense_maps_cube_runs(every_4x4_image):
+    assert_cube_runs(every_4x4_image)
+
+
+def test_the_surface_table_stays_run_sized():
+    """Once the corner table and the 3 x 3 table are built, the surface
+    table allocates less than a byte per box cell on a 1024 x 1024
+    rectangle with holes: it joins the runs of cubes read at the boundary
+    cells, with no map of cubes and no labelling."""
+    labels = hc.label_components(hc.gen_rect_with_holes(hc.random_rect_spec(1, (1024, 1024), 5)))
+    labels.table
+    solid3d._pixel_table()
+    tracemalloc.start()
+    try:
+        table = solid3d.SurfaceTable(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (table.clean.tolist(), table.genus.tolist()[1:]) == ([False, True], [5])
+    assert peak < labels.box.size
 
 
 def test_every_4x4_image_gets_one_count_from_every_table(every_4x4_image):
