@@ -36,7 +36,7 @@ def _read_grid(args) -> grid.BinaryGrid:
     data = _read_input(args.input)
     fmt = args.format
     if fmt is None:
-        fmt = "pbm" if data.lstrip().startswith(b"P1") else "ascii01"
+        fmt = "pbm" if data.lstrip().startswith(b"P") else "ascii01"
     return grid.parse_image(data, "pbm_p1" if fmt == "pbm" else "ascii01")
 
 
@@ -132,22 +132,20 @@ _OUTER, _HOLE = ",\n  " + _CURVES[0] + _CONTOUR[0] % "outer", ",\n      " + _CON
 _SEP = ",\n" + "  " * 5  # between two points
 _CHUNK = 1 << 13  # lookups joined at a time
 _CHECKS = ("m6_zero", "m3_eq_2c2", "m5_eq_2c4", "genus_eq_holes", "genus_eq_euler", "simply_connected_identity")
-# Without and with the identity that only a genus-0 entry checks.
-_GENUS3D = [
-    _object(1, [
-        *[(key, "%d") for key in ("component_id", "m3", "m4", "m5", "m6", "genus_formula", "euler_genus_oracle")],
-        ("checks", _object(2, [(key, "%s") for key in _CHECKS[:k]])),
-    ])
-    for k in (5, 6)
-]
+# A `genus3d` entry cut at its 13 values: the text before each value, and its closing.
+_ENTRY = _object(1, [
+    *[(key, "@") for key in ("component_id", "m3", "m4", "m5", "m6", "genus_formula", "euler_genus_oracle")],
+    ("checks", _object(2, [(key, "@") for key in _CHECKS])),
+]).split("@")
+# Texts 0-2 are the two marks and an absent check, 3-4 the first and a later entry's opening.
+_ENTRY_TEXT = [*_BOOL, "", "[\n  " + _ENTRY[0], ",\n  " + _ENTRY[0], *_ENTRY[1:]]
 
 
-def _print_list(entries: list[str]) -> None:
-    """Prints laid-out entries as the list `json.dumps(..., indent=2)`
-    writes, one entry at a time: no string the size of the output is built."""
-    for i, entry in enumerate(entries):
-        sys.stdout.write(("[" if i == 0 else ",") + "\n  " + entry)
-    print("\n]" if entries else "[]")
+def _emit(text: np.ndarray, index: np.ndarray) -> None:
+    """Writes `text.take(index)`, `_CHUNK` lookups joined at a time: no
+    string the size of the output is built."""
+    for a in range(0, index.size, _CHUNK):
+        sys.stdout.write("".join(text.take(index[a : a + _CHUNK]).tolist()))
 
 
 def _records_json(records: list[dict]) -> str:
@@ -205,9 +203,7 @@ def cmd_curves(args) -> int:
         tails[i] += _CURVES[1] % v
     index = (xy + (0, size)).ravel()
     index[np.r_[2 * begin[:-1], 2 * begin[1:] - 1]] = len(text) + np.arange(2 * len(cp2))
-    text = np.concatenate([text, np.array(heads + tails, dtype=object)])
-    for a in range(0, index.size, _CHUNK):
-        sys.stdout.write("".join(text.take(index[a : a + _CHUNK]).tolist()))
+    _emit(np.concatenate([text, np.array(heads + tails, dtype=object)]), index)
     print("\n]")
     return EXIT_OK if lemma.all() and (lhs == rhs).all() else EXIT_DISAGREEMENT
 
@@ -249,9 +245,17 @@ def cmd_genus3d(args) -> int:
         m6 == 0, m3 == 2 * c2, m5 == 2 * c4, genus == 1 + (c4 - c2) // 4, genus == g_euler, m3 == 8 + m5 + 2 * m6
     ], axis=1)
     simple = genus == 0
-    ints = np.column_stack([np.arange(1, len(rows) + 1), rows[:, :4], genus, g_euler]).tolist()
-    marks = np.take(_BOOL, checks).tolist()
-    _print_list([_GENUS3D[s] % (*v, *m[: 5 + s]) for s, v, m in zip(simple.tolist(), ints, marks)])
+    ints = np.column_stack([np.arange(1, len(rows) + 1), rows[:, :4], genus, g_euler])
+    values, at = np.unique(ints, return_inverse=True)
+    # A row is 27 lookups: its opening, then each value after the text before it, then the closing.
+    index = np.empty((len(rows), 27), dtype=int)
+    index[:, ::2] = np.arange(4, 18)
+    index[:1, 0] = 3
+    index[:, 1:14:2] = len(_ENTRY_TEXT) + at.reshape(ints.shape)
+    index[:, 15::2] = checks
+    index[~simple, 24:26] = 2  # no sixth check, nor the text before it
+    _emit(np.array(_ENTRY_TEXT + [str(v) for v in values.tolist()], dtype=object), index.ravel())
+    print("\n]" if len(rows) else "[]")
     holds = checks[:, :5].all() and checks[simple, 5].all()
     return EXIT_OK if holds else EXIT_DISAGREEMENT
 
@@ -289,7 +293,9 @@ def census_path(g: grid.BinaryGrid) -> tuple[int | None, int]:
 
 def oracle_path(g: grid.BinaryGrid) -> tuple[int, int]:
     """Holes of a single-component image by complement labeling, summed
-    from the image's mosaic (`labeling.hole_regions`).
+    from the image's mosaic (`labeling.hole_regions`). The mosaic reads the
+    boundary cells of the corner table that `census_path` builds, so this
+    path builds it too: its extra time is the labelling and the mosaic.
 
     Returns (holes, pixel_touches). The touch count is a model, not a
     measurement, of labelling each component's box grown by a background

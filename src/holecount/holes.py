@@ -42,7 +42,10 @@ class ComponentReport:
     classification: CornerClassification
 
     def to_dict(self) -> dict:
-        """Schema-stable JSON form; exactly these fields, never more."""
+        """Schema-stable JSON form; exactly these fields, never more.
+        `holes_oracle` counts the bounded 4-connected regions of the
+        complement, the (4,8) count only on a valid component: with
+        validation off, `111/101/110` reads 1 where the (4,8) count is 0."""
         return {
             "component_id": self.component_id,
             "area": self.area,

@@ -68,6 +68,19 @@ def test_analyze_pbm_autosniff(tmp_path, capsys):
     assert json.loads(out)[0]["holes_formula"] == 1
 
 
+@pytest.mark.parametrize(
+    "header", [b"P2\n2 2\n255\n0 0 0 0\n", b"P4\n2 2\n\x00\x00", b"  P6\n1 1\n255\n\x00\x00\x00"], ids=["P2", "P4", "P6"]
+)
+def test_a_pnm_file_other_than_p1_is_sniffed_as_pbm(tmp_path, capsys, header):
+    """Without `--format`, any input starting with `P` goes to the PBM
+    reader, which names its magic, not to the ascii01 reader."""
+    path = tmp_path / "g.pnm"
+    path.write_bytes(header)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    magic = header.split()[0].decode()
+    assert (code, out, err) == (cli.EXIT_INPUT, "", f"error: bad magic '{magic}', expected 'P1' (line 1)\n")
+
+
 def test_analyze_invalid_component_exits_ok(tmp_path, capsys):
     path = write(tmp_path, "domino.txt", "11\n")
     code, out, _ = run_cli(capsys, "analyze", path)

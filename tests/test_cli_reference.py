@@ -6,7 +6,9 @@ the component's own point set (`LabelMap.points_of`), so the crop's own
 tables produce it and the image's tables do not, and lays the list out with
 `json.dumps(..., indent=2)`. `curves`' text is also held to the writer that
 filled a k-point template per contour (`per_contour_writer`), on images
-whose coordinates cross a digit count.
+whose coordinates cross a digit count. Both are written in joins of
+`cli._CHUNK` lookups, so both are checked with joins of 1, 7 and
+`cli._CHUNK` lookups.
 """
 
 import contextlib
@@ -14,9 +16,11 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -228,12 +232,12 @@ def ring_past_1000():
     return hc.BinaryGrid(arr)
 
 
-def curves_of(g):
+def output_of(command, g):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.txt")
         with open(path, "w") as fh:
             fh.write(hc.to_ascii01(g))
-        return run("curves", path)
+        return run(command, path)
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,15 +246,67 @@ def curves_of(g):
 @example(ring_past_1000(), cli._CHUNK)
 def test_curves_text_matches_the_per_contour_writer(g, chunk):
     with mock.patch.object(cli, "_CHUNK", chunk):
-        code, out = curves_of(g)
+        code, out = output_of("curves", g)
     assert (code, out) == per_contour_writer(hc.label_components(g))
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_curves_of_an_empty_image_and_of_a_ring_past_1000():
-    assert curves_of(hc.grid_from_rows(["000", "000"])) == (cli.EXIT_OK, "[]\n")
-    code, out = curves_of(ring_past_1000())
+    assert output_of("curves", hc.grid_from_rows(["000", "000"])) == (cli.EXIT_OK, "[]\n")
+    code, out = output_of("curves", ring_past_1000())
     (entry,) = json.loads(out)
     outer, hole = entry["contours"]
     assert code == cli.EXIT_OK and entry["accounting"] == {"lhs": 0, "rhs": 0, "holds": True}
     assert min(map(tuple, outer["points"])) == (1001, 1003) and min(map(tuple, hole["points"])) == (1002, 1004)
+
+
+def holed_tiling():
+    """A 20 x 20 tiling of `gen_rect_with_holes` rectangles, 6-8 px with 0
+    or 1 hole: 400 rows of 27 lookups each, more than `cli._CHUNK`."""
+    arr = np.zeros((200, 200), dtype=bool)
+    for i in range(400):
+        (r, c), h, w = divmod(i, 20), 6 + i % 3, 6 + i // 3 % 3
+        arr[10 * r : 10 * r + h, 10 * c : 10 * c + w] = gen.gen_rect_with_holes(gen.random_rect_spec(i, (h, w), i % 2)).cells
+    return hc.BinaryGrid(arr)
+
+
+def large_rect():
+    """One 240 x 240 rectangle with 2 holes, whose m4 is past 10^5."""
+    return gen.gen_rect_with_holes(gen.random_rect_spec(1, (240, 240), 2))
+
+
+def test_the_genus3d_examples_reach_their_cases():
+    tiling, rect = holed_tiling(), large_rect()
+    genera = [row["genus_formula"] for row in genus3d_reference(tiling, hc.label_components(tiling))]
+    assert len(genera) == 400 and 27 * len(genera) > cli._CHUNK and set(genera) == {0, 1}
+    assert genus3d_reference(rect, hc.label_components(rect))[0]["m4"] >= 10**5
+
+
+@pytest.mark.parametrize("chunk", [1, 7, cli._CHUNK])
+@settings(max_examples=40, deadline=None)
+@given(g=valid_images())
+@example(g=hc.grid_from_rows(["000", "000"]))
+@example(g=holed_tiling())
+@example(g=large_rect())
+def test_genus3d_text_at_every_chunk_size(chunk, g):
+    expected = json.dumps(genus3d_reference(g, hc.label_components(g)), indent=2) + "\n"
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        assert output_of("genus3d", g) == (cli.EXIT_OK, expected)
+
+
+def test_genus3d_number_texts_stay_small(tmp_path):
+    """`genus3d` keeps one text per distinct value: on a 512 x 512
+    rectangle with 5 holes, whose m4 is 524,192, its tracemalloc peak, the
+    parse included, stays under 16 B per pixel. A text table indexed by
+    value, up to m4, would need more than 100."""
+    g = gen.gen_rect_with_holes(gen.random_rect_spec(1, (512, 512), 5))
+    path = tmp_path / "g.txt"
+    path.write_text(hc.to_ascii01(g))
+    tracemalloc.start()
+    try:
+        code, out = run("genus3d", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK and json.loads(out)[0]["m4"] == 524192
+    assert peak < 16 * g.cells.size
